@@ -28,7 +28,6 @@ from .core import (
     is_archimedean,
     is_n_convex,
     is_nonnegative,
-    merge_reports,
     n_continuity_probe,
     subcornet_closure_suite,
     verify_closure,

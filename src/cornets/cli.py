@@ -4,7 +4,7 @@ cancellation, hunt counterexamples, emit reports.
 Instance files are UTF-8 JSON describing one universe, its named elements and
 an optional Archimedean family; unknown fields are rejected with a location
 diagnostic.  Machine reports contain no timings, so identical inputs produce
-byte-identical output regardless of the worker count.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -29,7 +28,6 @@ from .core import (
     check_lemma_identities,
     dot_mul,
     is_n_convex,
-    merge_reports,
     subcornet_closure_suite,
 )
 from .fuzzy import (
@@ -38,6 +36,7 @@ from .fuzzy import (
     chi_embed,
     fuzzy_arch_family,
     make_fuzzy_cornet,
+    serialize_fuzzy,
     support,
 )
 from .geometry import rat
@@ -50,6 +49,7 @@ from .sets import (
     make_set_cornet,
     order_convex_z,
     phi_embed,
+    serialize_set,
     set_arch_family,
 )
 from .wedges import NotPointedError, Wedge, elem_arch_family, make_elem_cornet
@@ -217,8 +217,13 @@ def load_instance(path: str) -> Loaded:
     options = data.get("options", {})
     _require_keys(options, {"n_max", "horizon", "seed", "cases", "mutate"}, set(), "$.options")
     for key in ("n_max", "horizon", "seed", "cases"):
-        if key in options and not (isinstance(options[key], int) and not isinstance(options[key], bool)):
+        if key not in options:
+            continue
+        value = options[key]
+        if not (isinstance(value, int) and not isinstance(value, bool)):
             raise CliError(f"{key} must be an integer", f"$.options.{key}")
+        if key != "seed" and value < 1:
+            raise CliError(f"{key} must be >= 1, got {value}", f"$.options.{key}")
 
     if kind == "elemQ":
         inst = make_elem_cornet(w)
@@ -298,30 +303,13 @@ def emit(report: dict, fmt: str) -> None:
     print(f"  status: {report['status']}")
 
 
-def _chunks(cases: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, min(jobs, cases)) if cases else 1
-    base, rem = divmod(cases, jobs)
-    out, start = [], 0
-    for i in range(jobs):
-        size = base + (1 if i < rem else 0)
-        out.append((start, size))
-        start += size
-    return [(s, c) for s, c in out if c]
-
-
-def _run_chunked(fn, cases: int, jobs: int) -> list[LawReport]:
-    parts = _chunks(cases, jobs)
-    if len(parts) == 1:
-        return fn(parts[0][0], parts[0][1])
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        results = list(pool.map(lambda sc: fn(sc[0], sc[1]), parts))
-    return merge_reports(results)
-
-
-def _opt(args_value, options: dict, key: str, default: int) -> int:
-    if args_value is not None:
-        return args_value
-    return options.get(key, default)
+def _count(args_value, flag: str, options: dict, key: str, default: int) -> int:
+    """A count of at least 1: the command-line flag, else ``$.options``, else the default."""
+    if args_value is None:
+        return options.get(key, default)
+    if args_value < 1:
+        raise CliError(f"must be >= 1, got {args_value}", flag)
+    return args_value
 
 
 # --- Commands ----------------------------------------------------------------
@@ -330,22 +318,13 @@ def _opt(args_value, options: dict, key: str, default: int) -> int:
 def cmd_laws(args) -> int:
     loaded = load_instance(args.file)
     inst = loaded.inst
-    cases = _opt(args.cases, loaded.options, "cases", 200)
-    seed = _opt(args.seed, loaded.options, "seed", 0)
-    n_max = _opt(args.max_n, loaded.options, "n_max", 6)
-    horizon = _opt(args.horizon, loaded.options, "horizon", 12)
-    jobs = args.jobs or 1
+    cases = _count(args.cases, "--cases", loaded.options, "cases", 200)
+    seed = loaded.options.get("seed", 0) if args.seed is None else args.seed
+    n_max = _count(args.max_n, "--max-n", loaded.options, "n_max", 6)
+    horizon = _count(args.horizon, "--horizon", loaded.options, "horizon", 12)
 
-    laws = _run_chunked(
-        lambda start, count: check_cornet_laws(inst, seed, count, n_max, start),
-        cases,
-        jobs,
-    )
-    laws += _run_chunked(
-        lambda start, count: check_lemma_identities(inst, seed, count, n_max, start),
-        max(1, cases // 2),
-        jobs,
-    )
+    laws = check_cornet_laws(inst, seed, cases, n_max)
+    laws += check_lemma_identities(inst, seed, max(1, cases // 2), n_max)
     notes = []
     if loaded.family is not None:
         probes = tuple(inst.sampler(case_rng(seed, 2**30 + k)) for k in range(2))
@@ -378,7 +357,7 @@ def cmd_cancel(args) -> int:
     if loaded.family is None:
         raise CliError(loaded.family_note or "no Archimedean family available")
     x, y, z = loaded.elements[args.x], loaded.elements[args.y], loaded.elements[args.z]
-    horizon = _opt(args.horizon, loaded.options, "horizon", 12)
+    horizon = _count(args.horizon, "--horizon", loaded.options, "horizon", 12)
     # Challenge elements whose comparison with y is undecidable in this
     # representation pair are skipped rather than failing the whole run.
     challenges = []
@@ -479,35 +458,14 @@ def cmd_inspect(args) -> int:
     elif op == "support":
         if loaded.kind != "fuzzyQ":
             raise CliError("support applies only to fuzzyQ")
-        cut = support(el)
-        result = {
-            "repr": cut.repr.value,
-            "generators": [[str(c) for c in g] for g in cut.generators],
-        }
+        result = serialize_set(support(el))
     elif op == "embed":
         if loaded.kind == "elemQ":
             target = "setQ"
-            image = phi_embed(loaded.wedge, el)
-            result = {
-                "repr": image.repr.value,
-                "generators": [[str(c) for c in g] for g in image.generators],
-            }
+            result = serialize_set(phi_embed(loaded.wedge, el))
         elif loaded.kind in ("setQ", "setZ"):
             target = "fuzzyQ"
-            fz = chi_embed(el)
-            result = {
-                "p": str(fz.p),
-                "levels": [
-                    {
-                        "alpha": str(a),
-                        "set": {
-                            "repr": c.repr.value,
-                            "generators": [[str(v) for v in g] for g in c.generators],
-                        },
-                    }
-                    for a, c in fz.levels
-                ],
-            }
+            result = serialize_fuzzy(chi_embed(el))
         else:
             raise CliError("embed applies to elemQ and setQ/setZ only")
     else:
@@ -544,7 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--max-n", type=int)
     p.add_argument("--horizon", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility; has no effect (cases run in one process)",
+    )
     common(p)
     p.set_defaults(fn=cmd_laws)
 

@@ -14,7 +14,6 @@ boundedness).
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -52,7 +51,6 @@ class LawReport:
     law: str
     cases: int
     violations: list = field(default_factory=list)
-    elapsed: float = 0.0
     notes: list = field(default_factory=list)
 
     @property
@@ -145,7 +143,7 @@ def dot_mul_naive(inst: CornetInstance, n: int, x):
 
 
 def case_rng(seed: int, index: int) -> random.Random:
-    """Deterministic per-case RNG so parallel and serial runs agree."""
+    """Deterministic per-case RNG: case i draws the same elements in every run."""
     return random.Random(f"{seed}:{index}")
 
 
@@ -160,27 +158,8 @@ def _sample_case(inst: CornetInstance, rng: random.Random) -> dict:
     return case
 
 
-def merge_reports(chunks: Sequence[Sequence[LawReport]]) -> list[LawReport]:
-    """Merge law reports from contiguous case chunks, preserving case order
-    so that parallel and serial runs produce identical output."""
-    merged: dict[str, LawReport] = {}
-    order: list[str] = []
-    for chunk in chunks:
-        for r in chunk:
-            if r.law not in merged:
-                merged[r.law] = LawReport(r.law, 0)
-                order.append(r.law)
-            m = merged[r.law]
-            m.cases += r.cases
-            for v in r.violations:
-                m.record(v)
-            m.notes.extend(r.notes)
-            m.elapsed += r.elapsed
-    return [merged[n] for n in order]
-
-
 def check_cornet_laws(
-    inst: CornetInstance, seed: int = 0, cases: int = 100, n_max: int = 6, start: int = 0
+    inst: CornetInstance, seed: int = 0, cases: int = 100, n_max: int = 6
 ) -> list[LawReport]:
     """Check Def-1 (ordered semigroup) and all six cornet star laws.
 
@@ -205,9 +184,8 @@ def check_cornet_laws(
         "star-vi-zero",
     ]
     reports = {n: LawReport(n, cases) for n in names}
-    t0 = time.perf_counter()
     add, star, leq, eq = inst.add, inst.star, inst.leq, inst.eq
-    for i in range(start, start + cases):
+    for i in range(cases):
         rng = case_rng(seed, i)
         c = _sample_case(inst, rng)
         x, y, z = c["x"], c["y"], c["z"]
@@ -264,21 +242,17 @@ def check_cornet_laws(
     for n in range(1, n_max + 1):
         if not inst.eq(inst.star(n, inst.zero), inst.zero):
             reports["star-vi-zero"].record((n,))
-    elapsed = time.perf_counter() - t0
-    for r in reports.values():
-        r.elapsed = elapsed / len(reports)
     return [reports[n] for n in names]
 
 
 def check_lemma_identities(
-    inst: CornetInstance, seed: int = 0, cases: int = 100, n_max: int = 6, start: int = 0
+    inst: CornetInstance, seed: int = 0, cases: int = 100, n_max: int = 6
 ) -> list[LawReport]:
     """The two derived identities relating * and iterated addition:
     n*(m.x) == m.(n*x), and (mn)*x <= n.(m*x)."""
     eq_report = LawReport("lemma-star-dot-commute", cases)
     ineq_report = LawReport("lemma-star-dot-bound", cases)
-    t0 = time.perf_counter()
-    for i in range(start, start + cases):
+    for i in range(cases):
         rng = case_rng(seed, i)
         x = inst.sampler(rng)
         sx = [None] + [inst.star(n, x) for n in range(1, n_max + 1)]
@@ -296,7 +270,6 @@ def check_lemma_identities(
                 # Here dots_of_sx[n] = m.(n*x); the bound reads (nm)*x <= m.(n*x).
                 if n * m <= n_max and not inst.leq(sx[n * m], dots_of_sx[n]):
                     ineq_report.record((n, m, inst.serialize(x)))
-    eq_report.elapsed = ineq_report.elapsed = (time.perf_counter() - t0) / 2
     return [eq_report, ineq_report]
 
 
@@ -315,7 +288,6 @@ def convexity_semigroup_check(
     """C_x is a unital multiplicative subsemigroup of N, and each C^n is
     closed under + and m* (checked on samples)."""
     report = LawReport("convexity-semigroup", cases)
-    t0 = time.perf_counter()
     cx = {n for n in range(1, n_max + 1) if is_n_convex(inst, x, n)}
     if 1 not in cx:
         report.record(("1 not in C_x", inst.serialize(x)))
@@ -335,7 +307,6 @@ def convexity_semigroup_check(
                     m = 2 + (i % max(1, n_max - 1))
                     if not is_n_convex(inst, inst.star(m, a), n):
                         report.record(("star escapes C^n", n, m, inst.serialize(a)))
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -412,7 +383,6 @@ def check_A_continuity(inst: CornetInstance, fam: ArchFamily, n_max: int = 6) ->
     """Each family member a admits a witness b with b+b <= a, and the derived
     halving chain yields n.b_k <= a and n*b_k <= a for all n <= n_max."""
     report = LawReport("family-continuity", len(fam.elements))
-    t0 = time.perf_counter()
     for a in fam.elements:
         b = fam.witness(a)
         if b is None:
@@ -439,7 +409,6 @@ def check_A_continuity(inst: CornetInstance, fam: ArchFamily, n_max: int = 6) ->
                     report.record(("n . a_k <= a fails", n, inst.serialize(a)))
                 if not inst.leq(inst.star(n, ak), a):
                     report.record(("n * a_k <= a fails", n, inst.serialize(a)))
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -490,7 +459,6 @@ def closure_props_suite(
         "closure-ix-convex",
     ]
     reports = {n: LawReport(n, cases) for n in names}
-    t0 = time.perf_counter()
     for i in range(cases):
         rng = case_rng(seed, i)
         x, y = inst.sampler(rng), inst.sampler(rng)
@@ -517,9 +485,6 @@ def closure_props_suite(
                 reports["closure-viii-bounded"].record(inst.serialize(x))
         if is_n_convex(inst, x, n) and not is_n_convex(inst, cx, n):
             reports["closure-ix-convex"].record((n, inst.serialize(x)))
-    elapsed = time.perf_counter() - t0
-    for r in reports.values():
-        r.elapsed = elapsed / len(reports)
     return [reports[n] for n in names]
 
 
@@ -536,7 +501,6 @@ def subcornet_closure_suite(
     h = h or Horizon()
     arch_report = LawReport("archimedean-absorbs-nonnegative", cases)
     bound_report = LawReport("bounded-subcornet", cases)
-    t0 = time.perf_counter()
     big_h = Horizon(2 * h.n_max, h.probes)
     for i in range(cases):
         rng = case_rng(seed, i)
@@ -553,7 +517,6 @@ def subcornet_closure_suite(
                 bound_report.record(("sum unbounded", inst.serialize(x), inst.serialize(y)))
             if not is_A_bounded(inst, inst.star(m, x), fam, big_h).holds:
                 bound_report.record(("star unbounded", m, inst.serialize(x)))
-    arch_report.elapsed = bound_report.elapsed = (time.perf_counter() - t0) / 2
     return [arch_report, bound_report]
 
 
@@ -675,7 +638,6 @@ def hull_props_check(
         "hull-minimal",
     ]
     reports = {n: LawReport(n, cases) for n in names}
-    t0 = time.perf_counter()
     for i in range(cases):
         rng = case_rng(seed, i)
         x, y = inst.sampler(rng), inst.sampler(rng)
@@ -700,9 +662,6 @@ def hull_props_check(
             z = hull(inst.add(x, inst.nonneg_sampler(rng)))
             if inst.leq(x, z) and not inst.leq(hx, z):
                 reports["hull-minimal"].record((inst.serialize(x), inst.serialize(z)))
-    elapsed = time.perf_counter() - t0
-    for r in reports.values():
-        r.elapsed = elapsed / len(reports)
     return [reports[n] for n in names]
 
 
@@ -717,7 +676,6 @@ def n_continuity_probe(
     if inst.finite_inf is None:
         raise ValueError(f"instance {inst.name} exposes no finite_inf")
     report = LawReport("n-continuity-probe", len(families))
-    t0 = time.perf_counter()
     equal = 0
     for hfam in families:
         lhs = inst.finite_inf([inst.star(n, hh) for hh in hfam])
@@ -729,5 +687,4 @@ def n_continuity_probe(
                 ("gap", [inst.serialize(hh) for hh in hfam], inst.serialize(lhs), inst.serialize(rhs))
             )
     report.notes.insert(0, ("equalities", equal, "of", len(families)))
-    report.elapsed = time.perf_counter() - t0
     return report

@@ -26,6 +26,7 @@ from .sets import (
     intersect,
     is_n_convex_set,
     msum,
+    serialize_set,
     star_set,
     subset,
 )
@@ -229,6 +230,14 @@ def _sample_fuzzy(
     return StepFuzzy.make(w, p, levels)
 
 
+def serialize_fuzzy(f: StepFuzzy) -> dict:
+    """JSON form of a step function: p and its (alpha, cut) levels, top level first."""
+    return {
+        "p": str(f.p),
+        "levels": [{"alpha": str(a), "set": serialize_set(c)} for a, c in f.levels],
+    }
+
+
 def make_fuzzy_cornet(
     w: Wedge, p=1, cut_repr: Repr = Repr.DISCRETE, max_levels: int = 3
 ) -> CornetInstance:
@@ -254,21 +263,6 @@ def make_fuzzy_cornet(
     def finite_inf(fs):
         return fuzzy_inf(list(fs))
 
-    def serialize(f: StepFuzzy):
-        return {
-            "p": str(f.p),
-            "levels": [
-                {
-                    "alpha": str(a),
-                    "set": {
-                        "repr": c.repr.value,
-                        "generators": [[str(v) for v in g] for g in c.generators],
-                    },
-                }
-                for a, c in f.levels
-            ],
-        }
-
     return CornetInstance(
         name=f"fuzzyQ(d={w.dim},p={p},{cut_repr.value})",
         zero=unit,
@@ -281,7 +275,7 @@ def make_fuzzy_cornet(
             finite_inf if (w.is_orthant and cut_repr is Repr.DISCRETE) else None
         ),
         closure=fuzzy_closure,
-        serialize=serialize,
+        serialize=serialize_fuzzy,
         arch_exact=arch_exact,
         bounded_exact=bounded_exact if w.is_orthant else None,
     )

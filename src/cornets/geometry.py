@@ -129,10 +129,6 @@ class ConeH:
         return ConeH(dim, tuple(rows))
 
 
-def cone_contains(c: ConeH, x: Vec) -> bool:
-    return c.contains(x)
-
-
 def _kernel_vector(rows: Sequence[Vec], dim: int) -> Optional[Vec]:
     """A nonzero vector x with m . x == 0 for all rows, or None."""
     # Gaussian elimination over Q; the kernel of the row matrix.

@@ -385,6 +385,14 @@ def _sample_gens(
     ]
 
 
+def serialize_set(A: UpperSet) -> dict:
+    """JSON form of a set: its representation and generators as rational strings."""
+    return {
+        "repr": A.repr.value,
+        "generators": [[str(c) for c in g] for g in A.generators],
+    }
+
+
 def make_set_cornet(
     w: Wedge, rp: Repr = Repr.DISCRETE, max_gens: int = 5, integer: bool = False
 ) -> CornetInstance:
@@ -399,12 +407,6 @@ def make_set_cornet(
     def nonneg_sampler(rng: random.Random) -> UpperSet:
         gens = _sample_gens(w, rng, max_gens - 1, integer) + [vzero(w.dim)]
         return UpperSet.make(w, rp, gens)
-
-    def serialize(A: UpperSet):
-        return {
-            "repr": A.repr.value,
-            "generators": [[str(c) for c in g] for g in A.generators],
-        }
 
     inst = CornetInstance(
         name=f"set{'Z' if integer else 'Q'}(d={w.dim},{rp.value})",
@@ -421,7 +423,7 @@ def make_set_cornet(
         ),
         hull=convex_hull,
         closure=set_closure,
-        serialize=serialize,
+        serialize=serialize_set,
         arch_exact=_arch_exact_set if w.is_orthant else None,
         bounded_exact=_bounded_exact_set if w.is_orthant else None,
     )

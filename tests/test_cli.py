@@ -1,5 +1,5 @@
 """Command-line harness: instance-file validation, exit-code contract, and
-byte-determinism of machine reports across worker counts."""
+byte-determinism of machine reports (including across ``--jobs`` values)."""
 
 import json
 
@@ -13,6 +13,11 @@ from cornets.cli import (
     load_instance,
     main,
 )
+
+MUTATED_SETZ_FILE = {
+    "universe": {"kind": "setZ", "dim": 1, "wedge": "zero"},
+    "options": {"mutate": "star-dot"},
+}
 
 SETQ_FILE = {
     "universe": {"kind": "setQ", "dim": 2, "wedge": "orthant", "repr": "discrete"},
@@ -121,14 +126,28 @@ class TestExitCodes:
         assert main(["laws", path]) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, options, location",
+        [
+            (["laws", "--cases", "-3"], {}, "--cases"),
+            (["laws", "--cases", "0"], {}, "--cases"),
+            (["laws", "--max-n", "0"], {}, "--max-n"),
+            (["laws", "--horizon", "0"], {}, "--horizon"),
+            (["cancel", "--x", "A", "--y", "Y", "--z", "Z", "--horizon", "0"], {}, "--horizon"),
+            (["laws"], {"cases": 0}, "$.options.cases"),
+            (["laws"], {"n_max": 0}, "$.options.n_max"),
+            (["cancel", "--x", "A", "--y", "Y", "--z", "Z"], {"horizon": -1}, "$.options.horizon"),
+        ],
+    )
+    def test_counts_below_one_rejected(self, tmp_path, capsys, argv, options, location):
+        inst = json.loads(json.dumps(SETQ_FILE))
+        inst["options"].update(options)
+        path = _write(tmp_path, inst)
+        assert main([argv[0], path, *argv[1:]]) == EXIT_INPUT
+        assert f"input error: {location}: " in capsys.readouterr().err
+
     def test_mutated_universe_fails(self, tmp_path, capsys):
-        path = _write(
-            tmp_path,
-            {
-                "universe": {"kind": "setZ", "dim": 1, "wedge": "zero"},
-                "options": {"mutate": "star-dot"},
-            },
-        )
+        path = _write(tmp_path, MUTATED_SETZ_FILE)
         assert main(["laws", path, "--cases", "25", "--max-n", "4"]) == EXIT_VIOLATION
         out = capsys.readouterr().out
         assert "star-iv-reverse" in out and "counterexample" in out
@@ -198,13 +217,20 @@ class TestInspect:
 
 
 class TestDeterminism:
-    def test_jobs_do_not_change_bytes(self, setq_path, capsys):
-        main(["laws", setq_path, "--cases", "30", "--jobs", "1", "--format", "json"])
-        one = capsys.readouterr().out
-        main(["laws", setq_path, "--cases", "30", "--jobs", "3", "--format", "json"])
-        three = capsys.readouterr().out
-        assert one == three
-        assert json.loads(one)["status"] == "pass"
+    def test_jobs_do_not_change_bytes(self, setq_path, tmp_path, capsys):
+        # A passing report, and a failing one that carries counterexamples.
+        mutated_path = _write(tmp_path, MUTATED_SETZ_FILE, "mutated.json")
+        runs = (
+            (setq_path, ["--cases", "30"], "pass"),
+            (mutated_path, ["--cases", "25", "--max-n", "4"], "fail"),
+        )
+        for path, extra, status in runs:
+            outputs = []
+            for jobs in ("1", "3"):
+                main(["laws", path, *extra, "--jobs", jobs, "--format", "json"])
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+            assert json.loads(outputs[0])["status"] == status
 
     def test_repeat_runs_identical(self, setq_path, capsys):
         main(["laws", setq_path, "--cases", "20", "--format", "json"])

@@ -26,7 +26,6 @@ from cornets.core import (
     is_archimedean,
     is_n_convex,
     is_nonnegative,
-    merge_reports,
     n_continuity_probe,
     subcornet_closure_suite,
     verify_closure,
@@ -77,17 +76,6 @@ class TestLawSuites:
     def test_lemma_identities_pass(self):
         reports = check_lemma_identities(ELEM, seed=1, cases=20)
         assert all(r.passed for r in reports)
-
-    def test_chunked_run_merges_to_serial(self):
-        serial = check_cornet_laws(SETQ, seed=3, cases=30)
-        parts = [
-            check_cornet_laws(SETQ, seed=3, cases=10, start=s) for s in (0, 10, 20)
-        ]
-        merged = merge_reports(parts)
-        assert [r.law for r in merged] == [r.law for r in serial]
-        for m, s in zip(merged, serial):
-            assert m.cases == s.cases
-            assert m.violations == s.violations
 
     def test_mutated_star_fails_reverse_compatibility(self):
         # Replacing * with the iterated-addition action breaks only the
