@@ -33,7 +33,6 @@ from .core import (
     verify_closure,
 )
 from .fuzzy import (
-    FuzzyArchFamily,
     NoArchimedeanElements,
     StepFuzzy,
     chi,
@@ -49,11 +48,10 @@ from .fuzzy import (
     oplus,
     support,
 )
-from .geometry import ConeH, DimensionMismatch, Rat, Vec, divide, lp_feasible, rat, vec
+from .geometry import DimensionMismatch, Rat, Vec, divide, lp_feasible, rat, vec
 from .sets import (
     MultisetCapExceeded,
     Repr,
-    SetArchFamily,
     UnsupportedOperation,
     UpperSet,
     WedgeMismatch,
@@ -80,7 +78,6 @@ from .wedges import (
     Wedge,
     elem_arch_family,
     interior_archimedean,
-    leq_w,
     make_elem_cornet,
     wbounded_check,
 )

@@ -353,7 +353,7 @@ def cmd_cancel(args) -> int:
         if name not in loaded.elements:
             raise CliError(f"element {name!r} not defined in the instance file", "$.elements")
     if args.m < 2:
-        raise CliError("--m must be >= 2")
+        raise CliError(f"must be >= 2, got {args.m}", "--m")
     if loaded.family is None:
         raise CliError(loaded.family_note or "no Archimedean family available")
     x, y, z = loaded.elements[args.x], loaded.elements[args.y], loaded.elements[args.z]
@@ -367,11 +367,9 @@ def cmd_cancel(args) -> int:
         except UnsupportedOperation:
             continue
         challenges.append(el)
-    challenges = tuple(challenges)
-    h = Horizon(horizon, challenges or (inst.zero,))
     try:
         record = cancellation_check(
-            inst, x, y, z, args.m, loaded.family, h, challenges, replay=True
+            inst, x, y, z, args.m, loaded.family, Horizon(horizon), challenges, replay=True
         )
     except UnsupportedOperation as e:
         raise CliError(f"order comparison undecidable for these representations ({e})")

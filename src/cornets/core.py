@@ -81,7 +81,6 @@ class ArchFamily:
 
     elements: tuple
     witness: Callable[[Any], Any]
-    label: str = "family"
 
 
 @dataclass
@@ -101,7 +100,6 @@ class CornetInstance:
     sampler: Optional[Callable[[random.Random], Any]] = None
     nonneg_sampler: Optional[Callable[[random.Random], Any]] = None
     finite_inf: Optional[Callable[[Sequence[Any]], Any]] = None
-    enumerator: Optional[Callable[[int], list]] = None
     hull: Optional[Callable[[Any], Any]] = None
     closure: Optional[Callable[[Any], Any]] = None
     serialize: Callable[[Any], Any] = repr

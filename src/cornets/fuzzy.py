@@ -171,12 +171,7 @@ def fuzzy_inf(fs: Sequence[StepFuzzy]) -> StepFuzzy:
     return StepFuzzy.make(fs[0].wedge, p, levels)
 
 
-@dataclass
-class FuzzyArchFamily(ArchFamily):
-    epsilons: tuple[Fraction, ...] = ()
-
-
-def fuzzy_arch_family(w: Wedge, epsilons: Sequence, p=1) -> FuzzyArchFamily:
+def fuzzy_arch_family(w: Wedge, epsilons: Sequence, p=1) -> ArchFamily:
     """Characteristic functions of {-eps * ones} + W; only the p = 1 cornet
     has Archimedean elements at all."""
     if rat(p) < 1:
@@ -197,11 +192,9 @@ def fuzzy_arch_family(w: Wedge, epsilons: Sequence, p=1) -> FuzzyArchFamily:
         cut = UpperSet.make(w, Repr.DISCRETE, [vscale(Fraction(1, 2), g)])
         return chi(cut)
 
-    return FuzzyArchFamily(
+    return ArchFamily(
         elements=tuple(member_for(e) for e in eps),
         witness=witness,
-        label="fuzzy-eps-family",
-        epsilons=eps,
     )
 
 

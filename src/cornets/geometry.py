@@ -1,4 +1,4 @@
-"""Exact rational vectors, polyhedral cones and feasibility kernels.
+"""Exact rational vectors and linear feasibility kernels.
 
 Everything here is computed over ``fractions.Fraction``; no floating point
 is used anywhere, so all comparisons and memberships are exact decisions.
@@ -8,7 +8,6 @@ and trivially immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Sequence
@@ -84,51 +83,6 @@ def join_orthant(u: Vec, v: Vec) -> Vec:
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class ConeH:
-    """A rational polyhedral cone in H-representation.
-
-    Each row m encodes the constraint m . x >= 0.  An empty row list is the
-    whole space.  Membership is an exact decision.
-    """
-
-    dim: int
-    rows: tuple[Vec, ...]
-
-    def __post_init__(self):
-        for m in self.rows:
-            if len(m) != self.dim:
-                raise DimensionMismatch(f"row of dim {len(m)} in cone of dim {self.dim}")
-
-    def contains(self, x: Vec) -> bool:
-        if len(x) != self.dim:
-            raise DimensionMismatch(f"point of dim {len(x)} vs cone dim {self.dim}")
-        return all(vdot(m, x) >= 0 for m in self.rows)
-
-    def contains_strictly(self, x: Vec) -> bool:
-        """True iff x satisfies every row with strict inequality (interior)."""
-        if len(x) != self.dim:
-            raise DimensionMismatch(f"point of dim {len(x)} vs cone dim {self.dim}")
-        return all(vdot(m, x) > 0 for m in self.rows)
-
-    @staticmethod
-    def orthant(dim: int) -> "ConeH":
-        rows = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
-        )
-        return ConeH(dim, rows)
-
-    @staticmethod
-    def zero(dim: int) -> "ConeH":
-        # {x : x = 0}, written as e_i . x >= 0 and -e_i . x >= 0.
-        rows = []
-        for i in range(dim):
-            e = tuple(Fraction(1 if i == j else 0) for j in range(dim))
-            rows.append(e)
-            rows.append(vneg(e))
-        return ConeH(dim, tuple(rows))
-
-
 def _kernel_vector(rows: Sequence[Vec], dim: int) -> Optional[Vec]:
     """A nonzero vector x with m . x == 0 for all rows, or None."""
     # Gaussian elimination over Q; the kernel of the row matrix.
@@ -162,18 +116,6 @@ def _kernel_vector(rows: Sequence[Vec], dim: int) -> Optional[Vec]:
     return tuple(x)
 
 
-def cone_pointed(c: ConeH) -> tuple[bool, Optional[Vec]]:
-    """Decide cone ∩ (-cone) == {0}; on failure return a nonzero witness.
-
-    cone ∩ (-cone) is exactly the kernel of the constraint matrix, so
-    pointedness reduces to a rank computation.
-    """
-    w = _kernel_vector(c.rows, c.dim)
-    if w is None:
-        return True, None
-    return False, w
-
-
 # --- Linear feasibility -----------------------------------------------------
 #
 # An affine inequality is a pair (coeffs, const) meaning coeffs . x + const >= 0.
@@ -183,7 +125,7 @@ def cone_pointed(c: ConeH) -> tuple[bool, Optional[Vec]]:
 
 Ineq = tuple[Vec, Fraction]
 
-FM_VAR_LIMIT = 6
+FM_VAR_LIMIT = 4
 _FM_CONSTRAINT_CAP = 20000
 
 

@@ -100,17 +100,13 @@ def _canonicalize(w: Wedge, rp: Repr, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
         return _canon_poly_1d(w, gens)
     if w.is_orthant and w.dim == 2:
         return _pareto_lower_hull(gens)
+    # One pass suffices: dropping a redundant point leaves conv(F) + W as it
+    # was, and a point irredundant against a set stays so against any subset.
     kept = list(gens)
-    changed = True
-    while changed and len(kept) > 1:
-        changed = False
-        for i, g in enumerate(kept):
-            others = kept[:i] + kept[i + 1 :]
-            if _poly_member_lp(w, others, g):
-                kept.pop(i)
-                changed = True
-                break
-    return tuple(sorted(kept))
+    for g in gens:
+        if len(kept) > 1 and _poly_member_lp(w, [h for h in kept if h != g], g):
+            kept.remove(g)
+    return tuple(kept)
 
 
 def _canon_poly_1d(w: Wedge, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
@@ -158,7 +154,7 @@ def _poly_member_lp(w: Wedge, gens: Sequence[Vec], p: Vec) -> bool:
     ones = (Fraction(1),) * k
     ineqs.append((ones, Fraction(-1)))  # sum >= 1
     ineqs.append((tuple(-c for c in ones), Fraction(1)))  # sum <= 1
-    for m in w.cone.rows:
+    for m in w.rows:
         coeffs = tuple(-vdot(m, g) for g in gens)
         ineqs.append((coeffs, vdot(m, p)))
     return lp_feasible(ineqs, k) is not None
@@ -293,15 +289,9 @@ def finite_intersection(sets: Sequence[UpperSet]) -> UpperSet:
     return acc
 
 
-@dataclass
-class SetArchFamily(ArchFamily):
-    epsilons: tuple[Fraction, ...] = ()
-    direction: Optional[Vec] = None
-
-
 def set_arch_family(
     w: Wedge, epsilons: Sequence, direction: Optional[Vec] = None
-) -> SetArchFamily:
+) -> ArchFamily:
     """The family a_eps = {-eps * interior direction} + W, with the halving
     witness a_eps -> a_{eps/2}."""
     eps = tuple(sorted((rat(e) for e in epsilons), reverse=True))
@@ -318,16 +308,13 @@ def set_arch_family(
         (g,) = a.generators
         return UpperSet.make(w, Repr.DISCRETE, [vscale(Fraction(1, 2), g)])
 
-    return SetArchFamily(
+    return ArchFamily(
         elements=tuple(member_for(e) for e in eps),
         witness=witness,
-        label="set-eps-family",
-        epsilons=eps,
-        direction=direction,
     )
 
 
-def set_closure(A: UpperSet, fam: Optional[SetArchFamily] = None) -> UpperSet:
+def set_closure(A: UpperSet) -> UpperSet:
     # Finitely generated denotations are closed in the rational model.
     return A
 

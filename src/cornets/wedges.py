@@ -1,23 +1,24 @@
 """Wedges over Q^d and the element cornet they induce.
 
-A wedge is a pointed polyhedral cone W; it orders the ambient rational
-vector space by x <= y iff y - x lies in W.  With star equal to iterated
-addition this gives the simplest cornet, in which every element is n-convex.
+A wedge is a pointed polyhedral cone W, held as the rows of its
+H-representation; ``Wedge`` is the package's one cone type.  It orders the
+ambient rational vector space by x <= y iff y - x lies in W.  With star equal
+to iterated addition this gives the simplest cornet, in which every element
+is n-convex.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import ArchFamily, CornetInstance, Horizon, Verdict, VerdictRecord
+from .core import ArchFamily, CornetInstance, Verdict, VerdictRecord
 from .geometry import (
-    ConeH,
+    DimensionMismatch,
     Vec,
-    cone_pointed,
-    divide,
+    _kernel_vector,
     rat,
     vadd,
     vdot,
@@ -32,54 +33,77 @@ class NotPointedError(ValueError):
     """The cone contains a line, so it cannot order the space."""
 
 
+def _unit_rows(dim: int) -> tuple[Vec, ...]:
+    return tuple(
+        tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
+    )
+
+
+def _zero_rows(dim: int) -> tuple[Vec, ...]:
+    # {x : x = 0}, written as e_i . x >= 0 and -e_i . x >= 0.
+    return tuple(r for e in _unit_rows(dim) for r in (e, vneg(e)))
+
+
 @dataclass(frozen=True)
 class Wedge:
-    cone: ConeH
-    is_orthant: bool = False
-    is_zero: bool = False
+    """A pointed rational polyhedral cone in H-representation.
+
+    Each row m encodes the constraint m . x >= 0; membership is an exact
+    decision.  Equality and hashing rest on ``(dim, rows)``, and the fast-path
+    flags ``is_orthant`` / ``is_zero`` are read off the rows, so the orthant
+    or zero rows written out in full give the same wedge as ``orthant`` /
+    ``zero``.
+    """
+
+    dim: int
+    rows: tuple[Vec, ...]
+    is_orthant: bool = field(init=False, compare=False)
+    is_zero: bool = field(init=False, compare=False)
 
     def __post_init__(self):
-        pointed, witness = cone_pointed(self.cone)
-        if not pointed:
+        for m in self.rows:
+            if len(m) != self.dim:
+                raise DimensionMismatch(f"row of dim {len(m)} in cone of dim {self.dim}")
+        # W ∩ (-W) is exactly the kernel of the row matrix.
+        witness = _kernel_vector(self.rows, self.dim)
+        if witness is not None:
             raise NotPointedError(f"cone contains the line through {witness}")
         # Condition (iii) of the wedge axioms, n^{-1}(W) subset of W, holds
         # automatically over Q: M(n x) >= 0 iff M x >= 0.
-
-    @property
-    def dim(self) -> int:
-        return self.cone.dim
+        object.__setattr__(self, "is_orthant", self.rows == _unit_rows(self.dim))
+        object.__setattr__(self, "is_zero", self.rows == _zero_rows(self.dim))
 
     def contains(self, x: Vec) -> bool:
-        return self.cone.contains(x)
+        if len(x) != self.dim:
+            raise DimensionMismatch(f"point of dim {len(x)} vs cone dim {self.dim}")
+        return all(vdot(m, x) >= 0 for m in self.rows)
 
     def interior_contains(self, x: Vec) -> bool:
-        return self.cone.contains_strictly(x)
+        """True iff x satisfies every row with strict inequality."""
+        if len(x) != self.dim:
+            raise DimensionMismatch(f"point of dim {len(x)} vs cone dim {self.dim}")
+        return all(vdot(m, x) > 0 for m in self.rows)
 
     def leq(self, x: Vec, y: Vec) -> bool:
-        return self.cone.contains(vsub(y, x))
+        """x <= y in the wedge order iff y lands in x + W."""
+        return self.contains(vsub(y, x))
 
     @staticmethod
     def orthant(dim: int) -> "Wedge":
-        return Wedge(ConeH.orthant(dim), is_orthant=True)
+        return Wedge(dim, _unit_rows(dim))
 
     @staticmethod
     def zero(dim: int) -> "Wedge":
-        return Wedge(ConeH.zero(dim), is_zero=True)
+        return Wedge(dim, _zero_rows(dim))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Wedge":
         rows = tuple(tuple(rat(c) for c in r) for r in rows)
-        dim = len(rows[0])
-        return Wedge(ConeH(dim, rows))
+        return Wedge(len(rows[0]), rows)
 
     def ones(self) -> Vec:
         """The all-ones direction (strictly interior for the orthant)."""
         return (Fraction(1),) * self.dim
-
-
-def leq_w(w: Wedge, x: Vec, y: Vec) -> bool:
-    """x <= y in the wedge order iff y lands in x + W."""
-    return w.leq(x, y)
 
 
 def interior_archimedean(w: Wedge, x: Vec, probes: Sequence[Vec], n_max: int = 12) -> VerdictRecord:
@@ -90,10 +114,10 @@ def interior_archimedean(w: Wedge, x: Vec, probes: Sequence[Vec], n_max: int = 1
     horizon search.
     """
     details: dict = {"n0": {}}
-    if w.interior_contains(x) and w.cone.rows:
+    if w.interior_contains(x) and w.rows:
         for idx, u in enumerate(probes):
             n0 = 1
-            for m in w.cone.rows:
+            for m in w.rows:
                 mu, mx = vdot(m, u), vdot(m, x)
                 if mu < 0:
                     need = -mu / mx
@@ -115,10 +139,10 @@ def interior_archimedean(w: Wedge, x: Vec, probes: Sequence[Vec], n_max: int = 1
 
 def wbounded_check(w: Wedge, x: Vec, a: Vec) -> VerdictRecord:
     """Exact n0 with x <= n.a for all n >= n0, for strictly interior a."""
-    if not w.interior_contains(a) or not w.cone.rows:
+    if not w.interior_contains(a) or not w.rows:
         raise ValueError("reference element must be strictly interior")
     n0 = 1
-    for m in w.cone.rows:
+    for m in w.rows:
         mx, ma = vdot(m, x), vdot(m, a)
         if mx > 0:
             n0 = max(n0, (mx / ma).__ceil__())
@@ -135,7 +159,6 @@ def elem_arch_family(w: Wedge, epsilons: Sequence) -> ArchFamily:
     return ArchFamily(
         elements=tuple(vscale(e, ones) for e in eps),
         witness=lambda a: vscale(Fraction(1, 2), a),
-        label="elem-eps-family",
     )
 
 
@@ -170,13 +193,13 @@ def make_elem_cornet(w: Wedge) -> CornetInstance:
         return vscale(n, x)
 
     def arch_exact(x: Vec, u: Vec) -> Optional[tuple[bool, Optional[int]]]:
-        if w.interior_contains(x) and w.cone.rows:
+        if w.interior_contains(x) and w.rows:
             rec = interior_archimedean(w, x, [u])
             return True, rec.details["n0"][0]
         return None
 
     def bounded_exact(x: Vec, a: Vec) -> Optional[int]:
-        if w.interior_contains(a) and w.cone.rows:
+        if w.interior_contains(a) and w.rows:
             return wbounded_check(w, x, a).details["n0"]
         return None
 

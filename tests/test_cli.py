@@ -146,6 +146,11 @@ class TestExitCodes:
         assert main([argv[0], path, *argv[1:]]) == EXIT_INPUT
         assert f"input error: {location}: " in capsys.readouterr().err
 
+    def test_cancel_m_below_two_rejected(self, setq_path, capsys):
+        argv = ["cancel", setq_path, "--x", "A", "--y", "Y", "--z", "Z", "--m", "1"]
+        assert main(argv) == EXIT_INPUT
+        assert "input error: --m: must be >= 2, got 1" in capsys.readouterr().err
+
     def test_mutated_universe_fails(self, tmp_path, capsys):
         path = _write(tmp_path, MUTATED_SETZ_FILE)
         assert main(["laws", path, "--cases", "25", "--max-n", "4"]) == EXIT_VIOLATION
@@ -237,3 +242,16 @@ class TestDeterminism:
         a = capsys.readouterr().out
         main(["laws", setq_path, "--cases", "20", "--format", "json"])
         assert a == capsys.readouterr().out
+
+    def test_wedge_rows_and_name_give_same_bytes(self, setq_path, tmp_path, capsys):
+        # The orthant written out as rows is the same wedge, with the same
+        # exact fast paths, as the orthant written by name.
+        inst = json.loads(json.dumps(SETQ_FILE))
+        inst["universe"]["wedge"] = {"rows": [["1", "0"], ["0", "1"]]}
+        rows_path = _write(tmp_path, inst, "rows.json")
+        outputs = []
+        for path in (setq_path, rows_path):
+            main(["cancel", path, "--x", "A", "--y", "Y", "--z", "Z", "--format", "json"])
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["hypotheses"]["z-bounded"] == "analytically-verified"

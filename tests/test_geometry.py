@@ -1,5 +1,6 @@
-"""Exact geometry kernels: vectors, cones, and the two feasibility engines
-cross-checked against each other and against a brute-force rational grid."""
+"""Exact geometry kernels: vectors, wedge cones, and the two feasibility
+engines cross-checked against each other and against a brute-force rational
+grid."""
 
 import random
 from fractions import Fraction as F
@@ -9,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cornets.geometry import (
-    ConeH,
     DimensionMismatch,
     _fm_feasible,
+    _kernel_vector,
     _simplex_feasible,
-    cone_pointed,
     divide,
     join_orthant,
     lp_feasible,
@@ -25,6 +25,7 @@ from cornets.geometry import (
     vsub,
     vzero,
 )
+from cornets.wedges import NotPointedError, Wedge
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=4
@@ -71,34 +72,38 @@ class TestVectors:
 
 class TestCones:
     def test_orthant_membership(self):
-        c = ConeH.orthant(2)
+        c = Wedge.orthant(2)
         assert c.contains((F(1), F(0)))
         assert not c.contains((F(-1), F(2)))
-        assert c.contains_strictly((F(1), F(2)))
-        assert not c.contains_strictly((F(1), F(0)))
+        assert c.interior_contains((F(1), F(2)))
+        assert not c.interior_contains((F(1), F(0)))
 
     def test_zero_cone_is_origin_only(self):
-        c = ConeH.zero(2)
+        c = Wedge.zero(2)
         assert c.contains((F(0), F(0)))
         assert not c.contains((F(0), F(1)))
         assert not c.contains((F(-1), F(0)))
 
     def test_half_plane_not_pointed(self):
-        pointed, witness = cone_pointed(ConeH(2, ((F(1), F(0)),)))
-        assert not pointed
+        with pytest.raises(NotPointedError):
+            Wedge(2, ((F(1), F(0)),))
+        witness = _kernel_vector(((F(1), F(0)),), 2)
         # Witness lies in the cone together with its negation.
         assert vdot((F(1), F(0)), witness) == 0
         assert witness != vzero(2)
 
     def test_orthant_and_zero_pointed(self):
-        assert cone_pointed(ConeH.orthant(3)) == (True, None)
-        assert cone_pointed(ConeH.zero(1)) == (True, None)
+        assert _kernel_vector(Wedge.orthant(3).rows, 3) is None
+        assert _kernel_vector(Wedge.zero(1).rows, 1) is None
 
     def test_skewed_pointed_cone(self):
         # x >= 0 and y - x >= 0: pointed (contains no line).
-        c = ConeH(2, ((F(1), F(0)), (F(-1), F(1))))
-        pointed, _ = cone_pointed(c)
-        assert pointed
+        c = Wedge(2, ((F(1), F(0)), (F(-1), F(1))))
+        assert _kernel_vector(c.rows, 2) is None
+
+    def test_row_dimension_checked(self):
+        with pytest.raises(DimensionMismatch):
+            Wedge(2, ((F(1), F(0)), (F(1),)))
 
 
 def _random_system(rng, nv, rows):

@@ -3,10 +3,13 @@ against grid oracles, the inclusion order, convexity decisions and the
 order-reversing singleton embedding."""
 
 import random
+import time
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornets.core import Horizon, case_rng, check_A_continuity, is_archimedean
 from cornets.geometry import rational_grid, vadd, vscale
@@ -16,6 +19,8 @@ from cornets.sets import (
     UnsupportedOperation,
     UpperSet,
     WedgeMismatch,
+    _canonicalize,
+    _poly_member_lp,
     convex_hull,
     discrete,
     enumerate_z_subsets,
@@ -44,7 +49,42 @@ def _rand_gens(rng, dim, count, lo=-6, hi=6, dens=(1, 2)):
     ]
 
 
+def _restart_scan(w, gens):
+    """Reference polytopic redundancy scan: restart from the first generator
+    after every removal (what the one-pass scan in _canonicalize replaced)."""
+    kept = sorted(set(gens))
+    changed = True
+    while changed and len(kept) > 1:
+        changed = False
+        for i, g in enumerate(kept):
+            if _poly_member_lp(w, kept[:i] + kept[i + 1 :], g):
+                kept.pop(i)
+                changed = True
+                break
+    return tuple(kept)
+
+
+# Wedges on which polytopic canonicalisation takes the general LP scan.
+SCAN_WEDGES = [
+    Wedge.orthant(3),
+    Wedge.zero(2),
+    Wedge.zero(3),
+    Wedge.from_rows([[1, 0], [-1, 1]]),
+    Wedge.from_rows([[1, 0, 0], [-1, 1, 0], [0, 0, 1], [1, 1, -1]]),
+]
+
+
 class TestCanonicalization:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_one_pass_scan_matches_restart_scan(self, data):
+        w = data.draw(st.sampled_from(SCAN_WEDGES))
+        coord = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+        gens = data.draw(
+            st.lists(st.tuples(*[coord] * w.dim), min_size=1, max_size=6)
+        )
+        assert _canonicalize(w, Repr.POLYTOPIC, tuple(gens)) == _restart_scan(w, gens)
+
     def test_discrete_antichain(self):
         A = discrete(W2, [(0, 0), (1, 1), (0, 3)])
         assert A.generators == ((F(0), F(0)),)
@@ -126,6 +166,28 @@ class TestMinkowski:
         for _ in range(30):
             A = discrete(W2, _rand_gens(rng, 2, 5))
             assert msum(A, unit) == A
+
+    def test_wedge_spelling_does_not_matter(self):
+        rows = Wedge.from_rows([[1, 0], [0, 1]])
+        A = discrete(W2, [(0, 1), (1, 0)])
+        B = discrete(rows, [(1, 1), (2, -1)])
+        assert msum(A, B) == msum(B, A) == msum(A, discrete(W2, B.generators))
+        P = polytopic(rows, [(0, 3), (1, 1), (3, 0)])
+        assert msum(P, A) == msum(polytopic(W2, P.generators), A)
+
+    def test_three_by_three_polytopic_sum_is_fast(self):
+        # Both operands keep 3 generators, so the sum's redundancy LPs have
+        # up to 8 convex multipliers; Fourier-Motzkin on 6 of them can run
+        # for minutes.
+        W3 = Wedge.orthant(3)
+        h = F(1, 2)
+        a = polytopic(W3, [(-3, h, 5), (F(-7, 4), -h, 0), (-h, 6, -h)])
+        b = polytopic(W3, [(h, -2, F(-3, 2)), (F(-7, 4), h, F(-3, 2)), (4, 2, -7)])
+        assert len(a.generators) == len(b.generators) == 3
+        start = time.perf_counter()
+        ab = msum(a, b)
+        assert time.perf_counter() - start < 5
+        assert ab == msum(b, a)
 
     def test_mixed_repr_promotes(self):
         A = discrete(W2, [(0, 1)])

@@ -13,7 +13,6 @@ from cornets.wedges import (
     Wedge,
     elem_arch_family,
     interior_archimedean,
-    leq_w,
     make_elem_cornet,
     wbounded_check,
 )
@@ -36,6 +35,14 @@ class TestWedgeConstruction:
         assert Wedge.orthant(3).is_orthant
         assert Wedge.zero(2).is_zero
 
+    def test_flags_read_off_the_rows(self):
+        w = Wedge.from_rows([[1, 0], [0, 1]])
+        assert w == Wedge.orthant(2) and hash(w) == hash(Wedge.orthant(2))
+        assert w.is_orthant and not w.is_zero
+        z = Wedge.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]])
+        assert z == Wedge.zero(2) and z.is_zero and not z.is_orthant
+        assert not Wedge.from_rows([[1, 0], [-1, 1]]).is_orthant
+
     def test_rational_string_rows(self):
         w = Wedge.from_rows([["1/2", "0"], ["0", "2"]])
         assert w.contains((F(1), F(0)))
@@ -46,15 +53,15 @@ class TestWedgeOrder:
 
     @given(vec2, vec2)
     def test_order_iff_difference_in_wedge(self, x, y):
-        assert leq_w(self.W, x, y) == self.W.contains(
+        assert self.W.leq(x, y) == self.W.contains(
             (y[0] - x[0], y[1] - x[1])
         )
 
     @given(vec2)
     def test_zero_wedge_order_is_equality(self, x):
         wz = Wedge.zero(2)
-        assert leq_w(wz, x, x)
-        assert not leq_w(wz, x, (x[0] + 1, x[1]))
+        assert wz.leq(x, x)
+        assert not wz.leq(x, (x[0] + 1, x[1]))
 
 
 class TestInteriorThresholds:
@@ -79,8 +86,8 @@ class TestInteriorThresholds:
         rec = wbounded_check(self.W, x, a)
         n0 = rec.details["n0"]
         assert n0 == 7
-        assert leq_w(self.W, x, (n0 * a[0], n0 * a[1]))
-        assert not leq_w(self.W, x, ((n0 - 1) * a[0], (n0 - 1) * a[1]))
+        assert self.W.leq(x, (n0 * a[0], n0 * a[1]))
+        assert not self.W.leq(x, ((n0 - 1) * a[0], (n0 - 1) * a[1]))
 
     def test_wbounded_requires_interior_reference(self):
         with pytest.raises(ValueError):
