@@ -57,6 +57,9 @@ from .wedges import NotPointedError, Wedge, elem_arch_family, make_elem_cornet
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+# The law suites compute about n_max**2 stars per case; one setQ d=3 case
+# takes 2.8 s at n_max 12 and 11.7 s at 16, so larger values are refused.
+N_MAX_LIMIT = 12
 
 
 class CliError(Exception):
@@ -224,6 +227,8 @@ def load_instance(path: str) -> Loaded:
             raise CliError(f"{key} must be an integer", f"$.options.{key}")
         if key != "seed" and value < 1:
             raise CliError(f"{key} must be >= 1, got {value}", f"$.options.{key}")
+        if key == "n_max" and value > N_MAX_LIMIT:
+            raise CliError(f"n_max must be <= {N_MAX_LIMIT}, got {value}", "$.options.n_max")
 
     if kind == "elemQ":
         inst = make_elem_cornet(w)
@@ -303,12 +308,17 @@ def emit(report: dict, fmt: str) -> None:
     print(f"  status: {report['status']}")
 
 
-def _count(args_value, flag: str, options: dict, key: str, default: int) -> int:
-    """A count of at least 1: the command-line flag, else ``$.options``, else the default."""
+def _count(
+    args_value, flag: str, options: dict, key: str, default: int, most: Optional[int] = None
+) -> int:
+    """A count of at least 1 (and at most ``most``): the command-line flag,
+    else ``$.options``, else the default."""
     if args_value is None:
         return options.get(key, default)
     if args_value < 1:
         raise CliError(f"must be >= 1, got {args_value}", flag)
+    if most is not None and args_value > most:
+        raise CliError(f"must be <= {most}, got {args_value}", flag)
     return args_value
 
 
@@ -320,7 +330,7 @@ def cmd_laws(args) -> int:
     inst = loaded.inst
     cases = _count(args.cases, "--cases", loaded.options, "cases", 200)
     seed = loaded.options.get("seed", 0) if args.seed is None else args.seed
-    n_max = _count(args.max_n, "--max-n", loaded.options, "n_max", 6)
+    n_max = _count(args.max_n, "--max-n", loaded.options, "n_max", 6, N_MAX_LIMIT)
     horizon = _count(args.horizon, "--horizon", loaded.options, "horizon", 12)
 
     laws = check_cornet_laws(inst, seed, cases, n_max)

@@ -1,15 +1,17 @@
-"""Exact rational vectors and linear feasibility kernels.
+"""Exact rational vectors and one exact linear feasibility engine.
 
-Everything here is computed over ``fractions.Fraction``; no floating point
-is used anywhere, so all comparisons and memberships are exact decisions.
-Vectors are plain tuples of Fractions, which keeps them hashable, sortable
-and trivially immutable.
+Vectors are plain tuples of ``fractions.Fraction``, which keeps them
+hashable, sortable and trivially immutable.  ``lp_feasible`` decides a
+system of affine inequalities with a phase-1 simplex that pivots on integers
+and returns an exact rational witness.  No floating point is used anywhere,
+so all comparisons and memberships are exact decisions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 Rat = Fraction
@@ -119,165 +121,103 @@ def _kernel_vector(rows: Sequence[Vec], dim: int) -> Optional[Vec]:
 # --- Linear feasibility -----------------------------------------------------
 #
 # An affine inequality is a pair (coeffs, const) meaning coeffs . x + const >= 0.
-# Fourier-Motzkin is used for small variable counts (it also yields witnesses
-# cheaply by back-substitution); a phase-1 exact simplex takes over when the
-# Minkowski-sum plumbing produces many convex multipliers.
+# One engine decides every system: a phase-1 simplex with Bland's rule that
+# pivots on Python ints (Edmonds' integer-preserving pivots), so no Fraction
+# is built until the witness is read off the final tableau.
 
 Ineq = tuple[Vec, Fraction]
 
-FM_VAR_LIMIT = 4
-_FM_CONSTRAINT_CAP = 20000
+# perfbench/tracer.py reads this name to split its lp.fm and lp.simplex
+# counts; at 0 every call counts as simplex, the one engine there is.
+FM_VAR_LIMIT = 0
 
 
-def _normalize(ineq: Ineq) -> Ineq:
-    coeffs, const = ineq
-    from math import gcd
+def _integer_rows(ineqs: Sequence[Ineq]) -> list[list[int]]:
+    """Each inequality as ``[*coeffs, const]`` in ints, all over one common
+    denominator.
 
-    nums = [c.numerator for c in coeffs] + [const.numerator]
-    dens = [c.denominator for c in coeffs] + [const.denominator]
-    mult = 1
-    for d in dens:
-        mult = mult * d // gcd(mult, d)
-    ints = [n * (mult // d) for n, d in zip(nums, dens)]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    if g > 1:
-        ints = [n // g for n in ints]
-    return tuple(Fraction(n) for n in ints[:-1]), Fraction(ints[-1])
+    One positive factor for the whole system keeps the phase-1 objective (the
+    plain sum of the artificials) and hence every pivot the same as on the
+    rational system; a factor per row would weight the artificials unequally.
+    """
+    mult = lcm(*(v.denominator for coeffs, const in ineqs for v in (*coeffs, const)))
+    return [
+        [v.numerator * (mult // v.denominator) for v in (*coeffs, const)]
+        for coeffs, const in ineqs
+    ]
 
 
-def _fm_feasible(ineqs: list[Ineq], nvars: int) -> Optional[Vec]:
-    if nvars == 0:
-        if all(const >= 0 for _, const in ineqs):
-            return ()
-        return None
-    k = nvars - 1
-    lower, upper, rest = [], [], []
-    for coeffs, const in ineqs:
-        a = coeffs[k]
-        if a > 0:
-            lower.append((coeffs, const))
-        elif a < 0:
-            upper.append((coeffs, const))
-        else:
-            rest.append((coeffs[:k], const))
-    projected = set(_normalize(i) for i in rest)
-    for lc, lconst in lower:
-        for uc, uconst in upper:
-            # Eliminate x_k between a lower and an upper constraint.
-            a, b = lc[k], uc[k]
-            coeffs = tuple(a * uc[j] - b * lc[j] for j in range(k))
-            const = a * uconst - b * lconst
-            projected.add(_normalize((coeffs, const)))
-            if len(projected) > _FM_CONSTRAINT_CAP:
-                raise RuntimeError("Fourier-Motzkin constraint blowup; use simplex")
-    sub = _fm_feasible([(c, d) for c, d in projected], k)
-    if sub is None:
-        return None
-    # Back-substitute a value for x_k.
-    lows = [-(vdot(c[:k], sub) + d) / c[k] for c, d in lower]
-    highs = [-(vdot(c[:k], sub) + d) / c[k] for c, d in upper]
-    if lows:
-        xk = max(lows)
-    elif highs:
-        xk = min(highs)
-    else:
-        xk = Fraction(0)
-    return sub + (xk,)
-
-
-def _simplex_feasible(ineqs: list[Ineq], nvars: int) -> Optional[Vec]:
+def _simplex_feasible(ineqs: Sequence[Ineq], nvars: int) -> Optional[Vec]:
     """Phase-1 exact simplex for coeffs . x + const >= 0 with free x.
 
     Free variables are split into positive and negative parts; Bland's rule
-    guarantees termination.
+    guarantees termination.  The tableau holds ints: every entry is D times
+    its rational value, where D > 0 is the last pivot (the determinant of the
+    basis), so each pivot divides exactly by the previous D.
     """
-    # Convert to A y <= b with y >= 0 (y has 2*nvars entries).
+    # A y <= b with y >= 0 (y has 2*nvars entries): coeffs . x + const >= 0
+    # <=> -coeffs . x <= const, with x_j = v_j - u_j and columns (u_j, v_j).
     nv = 2 * nvars
-    rows_a: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for coeffs, const in ineqs:
-        # coeffs . x + const >= 0  <=>  -coeffs . x <= const, with
-        # x_j = v_j - u_j and columns ordered (u_j, v_j).
-        row = []
-        for c in coeffs:
-            row.append(c)
-            row.append(-c)
-        rows_a.append(row)
-        rhs.append(const)
-    m = len(rows_a)
-    # Tableau with slacks and artificials where needed.
-    total = nv + m  # structural + slack columns
-    art_cols: list[int] = []
-    table: list[list[Fraction]] = []
+    m = len(ineqs)
+    total = nv + m  # structural + slack columns; the right-hand side is last
+    table: list[list[int]] = []
     basis: list[int] = []
-    for i in range(m):
-        row = rows_a[i][:] + [Fraction(0)] * m
-        row[nv + i] = Fraction(1)
-        b = rhs[i]
-        if b < 0:
+    n_art = 0
+    for i, ints in enumerate(_integer_rows(ineqs)):
+        row = [a for c in ints[:-1] for a in (c, -c)] + [0] * m + [ints[-1]]
+        row[nv + i] = 1
+        if row[-1] < 0:
+            # An artificial column total + k starts basic here.  Artificials
+            # never re-enter the basis, so their columns are not stored.
             row = [-a for a in row]
-            b = -b
-            art_cols.append(total + len(art_cols))
-            basis.append(art_cols[-1])
+            basis.append(total + n_art)
+            n_art += 1
         else:
             basis.append(nv + i)
-        table.append(row + [b])
-    n_art = len(art_cols)
+        table.append(row)
     if n_art == 0:
         # All right-hand sides nonnegative: y = 0 is already feasible.
         return vzero(nvars)
-    width = total + n_art
-    # Insert artificial columns.
-    full: list[list[Fraction]] = []
-    for i in range(m):
-        row = table[i][:-1] + [Fraction(0)] * n_art + [table[i][-1]]
-        if basis[i] >= total:
-            row[total + (basis[i] - total)] = Fraction(1)
-        full.append(row)
-    table = full
-    # Objective: minimize sum of artificials -> cost row = -sum(art rows).
-    cost = [Fraction(0)] * (width + 1)
-    for i in range(m):
-        if basis[i] >= total:
-            for j in range(width + 1):
-                cost[j] -= table[i][j]
-    for j in art_cols:
-        cost[j] = Fraction(0)  # basic artificials have zero reduced cost
+    # Objective: minimize the sum of artificials -> cost row = -sum(art rows).
+    cost = [0] * (total + 1)
+    for row, b in zip(table, basis):
+        if b >= total:
+            cost = [c - a for c, a in zip(cost, row)]
+    d = 1
     while True:
-        # Artificial columns never re-enter the basis.
         enter = next((j for j in range(total) if cost[j] < 0), None)
         if enter is None:
             break
-        ratios = [
-            (table[i][width] / table[i][enter], i)
-            for i in range(m)
-            if table[i][enter] > 0
-        ]
-        if not ratios:
+        # Least ratio rhs / entry over positive entries, lowest basis on ties;
+        # ratios are compared by cross-multiplying.
+        leave = None
+        for i, row in enumerate(table):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs, rhs = row[total] * table[leave][enter], table[leave][total] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
             break  # unbounded phase-1 cannot happen; defensive
-        _, leave = min(ratios, key=lambda t: (t[0], basis[t[1]]))
-        piv = table[leave][enter]
-        table[leave] = [a / piv for a in table[leave]]
-        for i in range(m):
-            if i != leave and table[i][enter] != 0:
-                f = table[i][enter]
-                table[i] = [a - f * b for a, b in zip(table[i], table[leave])]
+        prow = table[leave]
+        p = prow[enter]
+        for i, row in enumerate(table):
+            if i != leave:
+                f = row[enter]
+                table[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
         f = cost[enter]
-        cost = [a - f * b for a, b in zip(cost, table[leave])]
+        cost = [(a * p - f * b) // d for a, b in zip(cost, prow)]
         basis[leave] = enter
-    if -cost[width] != 0:
+        d = p
+    if cost[total] != 0:
         return None
-    return _extract(basis, table, nvars, nv)
-
-
-def _extract(basis: list[int], table: list[list[Fraction]], nvars: int, nv: int) -> Vec:
     vals = [Fraction(0)] * nv
-    width = len(table[0]) - 1
-    for i, b in enumerate(basis):
+    for row, b in zip(table, basis):
         if b < nv:
-            vals[b] = table[i][width]
+            vals[b] = Fraction(row[total], d)
     # y was the split (negative part, positive part) of each free variable.
     return tuple(vals[2 * j + 1] - vals[2 * j] for j in range(nvars))
 
@@ -294,11 +234,6 @@ def lp_feasible(ineqs: Sequence[Ineq], nvars: int) -> Optional[Vec]:
             raise DimensionMismatch("inequality arity differs from variable count")
     if not ineqs:
         return vzero(nvars)
-    if nvars <= FM_VAR_LIMIT:
-        try:
-            return _fm_feasible(ineqs, nvars)
-        except RuntimeError:
-            pass
     return _simplex_feasible(ineqs, nvars)
 
 

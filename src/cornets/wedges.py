@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .core import ArchFamily, CornetInstance, Verdict, VerdictRecord
@@ -44,15 +45,30 @@ def _zero_rows(dim: int) -> tuple[Vec, ...]:
     return tuple(r for e in _unit_rows(dim) for r in (e, vneg(e)))
 
 
+def _canonical(rows: Sequence[Vec]) -> tuple[Vec, ...]:
+    """The rows of the same cone in one spelling: each row scaled by a
+    positive factor to coprime integers, duplicates dropped, sorted in
+    decreasing order (so the orthant keeps the order e_1, ..., e_d)."""
+    canon = set()
+    for row in rows:
+        mult = lcm(*(c.denominator for c in row))
+        ints = [c.numerator * (mult // c.denominator) for c in row]
+        g = gcd(*ints) or 1
+        canon.add(tuple(Fraction(n // g) for n in ints))
+    return tuple(sorted(canon, reverse=True))
+
+
 @dataclass(frozen=True)
 class Wedge:
     """A pointed rational polyhedral cone in H-representation.
 
     Each row m encodes the constraint m . x >= 0; membership is an exact
-    decision.  Equality and hashing rest on ``(dim, rows)``, and the fast-path
-    flags ``is_orthant`` / ``is_zero`` are read off the rows, so the orthant
-    or zero rows written out in full give the same wedge as ``orthant`` /
-    ``zero``.
+    decision.  The rows are stored in canonical form (coprime integer rows,
+    no duplicates, sorted), and equality and hashing rest on ``(dim, rows)``,
+    so any reordering or positive rescaling of the rows gives the same wedge.
+    The fast-path flags ``is_orthant`` / ``is_zero`` are read off the
+    canonical rows, so the orthant or zero rows written out in full give the
+    same wedge as ``orthant`` / ``zero``.
     """
 
     dim: int
@@ -64,14 +80,15 @@ class Wedge:
         for m in self.rows:
             if len(m) != self.dim:
                 raise DimensionMismatch(f"row of dim {len(m)} in cone of dim {self.dim}")
+        object.__setattr__(self, "rows", _canonical(self.rows))
         # W ∩ (-W) is exactly the kernel of the row matrix.
         witness = _kernel_vector(self.rows, self.dim)
         if witness is not None:
             raise NotPointedError(f"cone contains the line through {witness}")
         # Condition (iii) of the wedge axioms, n^{-1}(W) subset of W, holds
         # automatically over Q: M(n x) >= 0 iff M x >= 0.
-        object.__setattr__(self, "is_orthant", self.rows == _unit_rows(self.dim))
-        object.__setattr__(self, "is_zero", self.rows == _zero_rows(self.dim))
+        object.__setattr__(self, "is_orthant", self.rows == _canonical(_unit_rows(self.dim)))
+        object.__setattr__(self, "is_zero", self.rows == _canonical(_zero_rows(self.dim)))
 
     def contains(self, x: Vec) -> bool:
         if len(x) != self.dim:

@@ -146,6 +146,28 @@ class TestExitCodes:
         assert main([argv[0], path, *argv[1:]]) == EXIT_INPUT
         assert f"input error: {location}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, options, message",
+        [
+            (["--max-n", "13"], {}, "--max-n: must be <= 12, got 13"),
+            (["--max-n", "400"], {}, "--max-n: must be <= 12, got 400"),
+            ([], {"n_max": 13}, "$.options.n_max: n_max must be <= 12, got 13"),
+        ],
+    )
+    def test_max_n_above_twelve_rejected(self, tmp_path, capsys, argv, options, message):
+        inst = json.loads(json.dumps(SETQ_FILE))
+        inst["options"].update(options)
+        path = _write(tmp_path, inst)
+        assert main(["laws", path, "--cases", "1", *argv]) == EXIT_INPUT
+        assert f"input error: {message}" in capsys.readouterr().err
+
+    def test_max_n_twelve_accepted(self, tmp_path):
+        inst = json.loads(json.dumps(SETQ_FILE))
+        inst["options"]["n_max"] = 12
+        path = _write(tmp_path, inst)
+        assert main(["laws", path, "--cases", "1"]) == EXIT_PASS
+        assert main(["laws", path, "--cases", "1", "--max-n", "12"]) == EXIT_PASS
+
     def test_cancel_m_below_two_rejected(self, setq_path, capsys):
         argv = ["cancel", setq_path, "--x", "A", "--y", "Y", "--z", "Z", "--m", "1"]
         assert main(argv) == EXIT_INPUT
@@ -244,14 +266,17 @@ class TestDeterminism:
         assert a == capsys.readouterr().out
 
     def test_wedge_rows_and_name_give_same_bytes(self, setq_path, tmp_path, capsys):
-        # The orthant written out as rows is the same wedge, with the same
-        # exact fast paths, as the orthant written by name.
-        inst = json.loads(json.dumps(SETQ_FILE))
-        inst["universe"]["wedge"] = {"rows": [["1", "0"], ["0", "1"]]}
-        rows_path = _write(tmp_path, inst, "rows.json")
+        # The orthant written out as rows, in any order or scale, is the same
+        # wedge, with the same exact fast paths, as the orthant written by name.
+        paths = [setq_path]
+        spellings = ([["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]], [["2", "0"], ["0", "1/3"]])
+        for k, rows in enumerate(spellings):
+            inst = json.loads(json.dumps(SETQ_FILE))
+            inst["universe"]["wedge"] = {"rows": rows}
+            paths.append(_write(tmp_path, inst, f"rows{k}.json"))
         outputs = []
-        for path in (setq_path, rows_path):
+        for path in paths:
             main(["cancel", path, "--x", "A", "--y", "Y", "--z", "Z", "--format", "json"])
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        assert all(out == outputs[0] for out in outputs)
         assert json.loads(outputs[0])["hypotheses"]["z-bounded"] == "analytically-verified"

@@ -1,9 +1,11 @@
-"""Exact geometry kernels: vectors, wedge cones, and the two feasibility
-engines cross-checked against each other and against a brute-force rational
-grid."""
+"""Exact geometry kernels: vectors, wedge cones, and the integer simplex
+checked against a brute-force rational grid and against the two engines it
+replaced (Fourier-Motzkin elimination and a Fraction-tableau simplex), which
+are kept below as reference implementations."""
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,7 @@ from hypothesis import strategies as st
 
 from cornets.geometry import (
     DimensionMismatch,
-    _fm_feasible,
     _kernel_vector,
-    _simplex_feasible,
     divide,
     join_orthant,
     lp_feasible,
@@ -106,6 +106,145 @@ class TestCones:
             Wedge(2, ((F(1), F(0)), (F(1),)))
 
 
+# --- Reference engines ------------------------------------------------------
+#
+# The two engines lp_feasible used before the integer simplex, with the same
+# arithmetic, minus the constraint cap that sent Fourier-Motzkin blowups to
+# the simplex.  _fraction_simplex pivots exactly as lp_feasible does, so its
+# witnesses must be equal; _fm_feasible is an independent decision procedure.
+
+
+def _fm_normalize(ineq):
+    coeffs, const = ineq
+    nums = [c.numerator for c in coeffs] + [const.numerator]
+    dens = [c.denominator for c in coeffs] + [const.denominator]
+    mult = 1
+    for d in dens:
+        mult = mult * d // gcd(mult, d)
+    ints = [n * (mult // d) for n, d in zip(nums, dens)]
+    g = 0
+    for n in ints:
+        g = gcd(g, abs(n))
+    if g > 1:
+        ints = [n // g for n in ints]
+    return tuple(F(n) for n in ints[:-1]), F(ints[-1])
+
+
+def _fm_feasible(ineqs, nvars):
+    if nvars == 0:
+        if all(const >= 0 for _, const in ineqs):
+            return ()
+        return None
+    k = nvars - 1
+    lower, upper, rest = [], [], []
+    for coeffs, const in ineqs:
+        a = coeffs[k]
+        if a > 0:
+            lower.append((coeffs, const))
+        elif a < 0:
+            upper.append((coeffs, const))
+        else:
+            rest.append((coeffs[:k], const))
+    projected = set(_fm_normalize(i) for i in rest)
+    for lc, lconst in lower:
+        for uc, uconst in upper:
+            # Eliminate x_k between a lower and an upper constraint.
+            a, b = lc[k], uc[k]
+            coeffs = tuple(a * uc[j] - b * lc[j] for j in range(k))
+            const = a * uconst - b * lconst
+            projected.add(_fm_normalize((coeffs, const)))
+    sub = _fm_feasible(list(projected), k)
+    if sub is None:
+        return None
+    # Back-substitute a value for x_k.
+    lows = [-(vdot(c[:k], sub) + d) / c[k] for c, d in lower]
+    highs = [-(vdot(c[:k], sub) + d) / c[k] for c, d in upper]
+    if lows:
+        xk = max(lows)
+    elif highs:
+        xk = min(highs)
+    else:
+        xk = F(0)
+    return sub + (xk,)
+
+
+def _fraction_simplex(ineqs, nvars):
+    """Phase-1 simplex on a Fraction tableau, Bland's rule."""
+    nv = 2 * nvars
+    rows_a, rhs = [], []
+    for coeffs, const in ineqs:
+        row = []
+        for c in coeffs:
+            row.append(c)
+            row.append(-c)
+        rows_a.append(row)
+        rhs.append(const)
+    m = len(rows_a)
+    total = nv + m
+    art_cols, table, basis = [], [], []
+    for i in range(m):
+        row = rows_a[i][:] + [F(0)] * m
+        row[nv + i] = F(1)
+        b = rhs[i]
+        if b < 0:
+            row = [-a for a in row]
+            b = -b
+            art_cols.append(total + len(art_cols))
+            basis.append(art_cols[-1])
+        else:
+            basis.append(nv + i)
+        table.append(row + [b])
+    n_art = len(art_cols)
+    if n_art == 0:
+        return vzero(nvars)
+    width = total + n_art
+    full = []
+    for i in range(m):
+        row = table[i][:-1] + [F(0)] * n_art + [table[i][-1]]
+        if basis[i] >= total:
+            row[total + (basis[i] - total)] = F(1)
+        full.append(row)
+    table = full
+    cost = [F(0)] * (width + 1)
+    for i in range(m):
+        if basis[i] >= total:
+            for j in range(width + 1):
+                cost[j] -= table[i][j]
+    for j in art_cols:
+        cost[j] = F(0)
+    while True:
+        enter = next((j for j in range(total) if cost[j] < 0), None)
+        if enter is None:
+            break
+        ratios = [
+            (table[i][width] / table[i][enter], i)
+            for i in range(m)
+            if table[i][enter] > 0
+        ]
+        if not ratios:
+            break
+        _, leave = min(ratios, key=lambda t: (t[0], basis[t[1]]))
+        piv = table[leave][enter]
+        table[leave] = [a / piv for a in table[leave]]
+        for i in range(m):
+            if i != leave and table[i][enter] != 0:
+                f = table[i][enter]
+                table[i] = [a - f * b for a, b in zip(table[i], table[leave])]
+        f = cost[enter]
+        cost = [a - f * b for a, b in zip(cost, table[leave])]
+        basis[leave] = enter
+    if -cost[width] != 0:
+        return None
+    vals = [F(0)] * nv
+    for i, b in enumerate(basis):
+        if b < nv:
+            vals[b] = table[i][width]
+    return tuple(vals[2 * j + 1] - vals[2 * j] for j in range(nvars))
+
+
+ENGINES = (lp_feasible, _fm_feasible, _fraction_simplex)
+
+
 def _random_system(rng, nv, rows):
     return [
         (
@@ -126,32 +265,52 @@ class TestFeasibility:
         for _ in range(400):
             nv = rng.randint(1, 4)
             ineqs = _random_system(rng, nv, rng.randint(1, 6))
-            fm = _fm_feasible(ineqs, nv)
-            sx = _simplex_feasible(ineqs, nv)
-            assert (fm is None) == (sx is None), ineqs
-            for w in (fm, sx):
+            lp, fm, sx = (engine(ineqs, nv) for engine in ENGINES)
+            assert (fm is None) == (sx is None) == (lp is None), ineqs
+            assert lp == sx, ineqs
+            for w in (lp, fm, sx):
                 if w is not None:
                     assert _satisfies(ineqs, w)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_witness_matches_reference_engines(self, data):
+        # Rational entries with mixed denominators: the integer engine scales
+        # the system to ints, and that scaling must not change any pivot.
+        nv = data.draw(st.integers(min_value=1, max_value=5))
+        entries = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+        ineqs = data.draw(
+            st.lists(
+                st.tuples(st.tuples(*([entries] * nv)), entries), min_size=1, max_size=8
+            )
+        )
+        lp = lp_feasible(ineqs, nv)
+        assert repr(lp) == repr(_fraction_simplex(ineqs, nv))
+        if lp is not None:
+            assert _satisfies(ineqs, lp)
+        if nv <= 4:
+            assert (lp is None) == (_fm_feasible(ineqs, nv) is None)
+
     def test_against_grid_oracle(self):
         # On 2-variable systems with small coefficients, any feasible region
-        # that meets the quarter-integer grid is found by both engines.
+        # that meets the quarter-integer grid is found by every engine.
         rng = random.Random(7)
         grid = list(rational_grid(2, 8, (1, 2, 4)))
         for _ in range(120):
             ineqs = _random_system(rng, 2, rng.randint(1, 4))
             grid_hit = any(_satisfies(ineqs, g) for g in grid)
-            lp = lp_feasible(ineqs, 2)
-            if grid_hit:
-                assert lp is not None and _satisfies(ineqs, lp)
+            for engine in ENGINES:
+                w = engine(ineqs, 2)
+                if grid_hit:
+                    assert w is not None and _satisfies(ineqs, w)
             # lp feasible but grid empty can legitimately happen (region
             # avoids the grid); the reverse cannot.
 
     def test_infeasible_interval(self):
         # x >= 1 together with x <= -3.
         ineqs = [((F(3),), F(-3)), ((F(-1),), F(-3))]
-        assert _fm_feasible(ineqs, 1) is None
-        assert _simplex_feasible(ineqs, 1) is None
+        for engine in ENGINES:
+            assert engine(ineqs, 1) is None
 
     def test_equality_via_two_inequalities(self):
         # x + y = 1, x >= 0, y >= 0.
@@ -161,7 +320,7 @@ class TestFeasibility:
             ((F(1), F(0)), F(0)),
             ((F(0), F(1)), F(0)),
         ]
-        for engine in (_fm_feasible, _simplex_feasible):
+        for engine in ENGINES:
             w = engine(ineqs, 2)
             assert w is not None and _satisfies(ineqs, w)
             assert w[0] + w[1] == 1
@@ -169,16 +328,18 @@ class TestFeasibility:
     def test_empty_system(self):
         assert lp_feasible([], 3) == vzero(3)
 
-    def test_wide_systems_use_simplex(self):
-        # 10 variables exceeds the elimination limit; simplex must cope.
+    def test_wide_systems(self):
+        # 10 variables: far past where elimination is practical.
         nv = 10
         ineqs = [
             (tuple(F(1 if j == i else 0) for j in range(nv)), F(-1)) for i in range(nv)
         ]
         w = lp_feasible(ineqs, nv)
         assert w is not None and all(c >= 1 for c in w)
+        assert w == _fraction_simplex(ineqs, nv)
         ineqs.append((tuple(F(-1) for _ in range(nv)), F(5)))  # sum <= 5
         assert lp_feasible(ineqs, nv) is None
+        assert _fraction_simplex(ineqs, nv) is None
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -192,6 +353,6 @@ class TestFeasibility:
             )
         )
         ineqs = [(tuple(F(c) for c in cs), F(d)) for cs, d in rows]
-        w = _simplex_feasible(ineqs, nv)
+        w = lp_feasible(ineqs, nv)
         if w is not None:
             assert _satisfies(ineqs, w)

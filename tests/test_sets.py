@@ -168,12 +168,14 @@ class TestMinkowski:
             assert msum(A, unit) == A
 
     def test_wedge_spelling_does_not_matter(self):
-        rows = Wedge.from_rows([[1, 0], [0, 1]])
         A = discrete(W2, [(0, 1), (1, 0)])
-        B = discrete(rows, [(1, 1), (2, -1)])
-        assert msum(A, B) == msum(B, A) == msum(A, discrete(W2, B.generators))
-        P = polytopic(rows, [(0, 3), (1, 1), (3, 0)])
-        assert msum(P, A) == msum(polytopic(W2, P.generators), A)
+        # As written by Wedge.orthant, reordered, and scaled.
+        for spelling in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [["2", "0"], ["0", "1"]]):
+            rows = Wedge.from_rows(spelling)
+            B = discrete(rows, [(1, 1), (2, -1)])
+            assert msum(A, B) == msum(B, A) == msum(A, discrete(W2, B.generators))
+            P = polytopic(rows, [(0, 3), (1, 1), (3, 0)])
+            assert msum(P, A) == msum(polytopic(W2, P.generators), A)
 
     def test_three_by_three_polytopic_sum_is_fast(self):
         # Both operands keep 3 generators, so the sum's redundancy LPs have

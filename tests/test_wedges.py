@@ -36,11 +36,26 @@ class TestWedgeConstruction:
         assert Wedge.zero(2).is_zero
 
     def test_flags_read_off_the_rows(self):
-        w = Wedge.from_rows([[1, 0], [0, 1]])
-        assert w == Wedge.orthant(2) and hash(w) == hash(Wedge.orthant(2))
-        assert w.is_orthant and not w.is_zero
-        z = Wedge.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]])
-        assert z == Wedge.zero(2) and z.is_zero and not z.is_orthant
+        orthant_spellings = [
+            [[1, 0], [0, 1]],
+            [[0, 1], [1, 0]],  # reordered
+            [["2", "0"], ["0", "1"]],  # scaled
+            [["0", "1/3"], ["5/2", "0"], [1, 0]],  # reordered, scaled, repeated
+        ]
+        for rows in orthant_spellings:
+            w = Wedge.from_rows(rows)
+            assert w == Wedge.orthant(2) and hash(w) == hash(Wedge.orthant(2)), rows
+            assert w.rows == Wedge.orthant(2).rows
+            assert w.is_orthant and not w.is_zero
+        zero_spellings = [
+            [[1, 0], [-1, 0], [0, 1], [0, -1]],
+            [[0, -1], [1, 0], [0, 1], [-1, 0]],  # reordered
+            [["3", "0"], ["-1/2", "0"], ["0", "7"], ["0", "-2"]],  # scaled
+        ]
+        for rows in zero_spellings:
+            z = Wedge.from_rows(rows)
+            assert z == Wedge.zero(2) and hash(z) == hash(Wedge.zero(2)), rows
+            assert z.is_zero and not z.is_orthant
         assert not Wedge.from_rows([[1, 0], [-1, 1]]).is_orthant
 
     def test_rational_string_rows(self):
