@@ -2,7 +2,9 @@
 
 A wedge W is a pointed cone; it orders the space by x <= y iff y - x lies in
 W.  With the star action equal to iterated addition this is the simplest
-cornet, and interior elements admit exact Archimedean thresholds.
+cornet.  One closed form, ``threshold``, decides every "for all large n"
+question exactly: Archimedean elements and boundedness, on the boundary of
+the wedge as well as inside it.
 """
 
 from fractions import Fraction as F
@@ -11,9 +13,8 @@ from cornets import (
     Wedge,
     check_cornet_laws,
     elem_arch_family,
-    interior_archimedean,
     make_elem_cornet,
-    wbounded_check,
+    threshold,
 )
 
 w = Wedge.orthant(2)
@@ -28,15 +29,15 @@ print("\n== star equals iterated addition here ==")
 print("3 * x  =", inst.star(3, x))
 print("3 . x  =", inst.dot(3, x))
 
-print("\n== exact Archimedean threshold for an interior element ==")
-a = (F(1), F(1, 2))
+print("\n== exact Archimedean thresholds ==")
 probe = (F(-5), F(-7))
-rec = interior_archimedean(w, a, [probe])
-print(f"0 <= {probe} + n*{a} for all n >= {rec.details['n0'][0]} ({rec.verdict.value})")
+for a in [(F(1), F(1, 2)), (F(1), F(0))]:
+    n0 = threshold(w, probe, a)  # least n0 with probe + n.a in W for n >= n0
+    print(f"0 <= {probe} + n*{a} for all n >= n0:", n0 if n0 is not None else "never")
 
 print("\n== boundedness against a family member ==")
-rec = wbounded_check(w, (F(7), F(3)), (F(1), F(2)))
-print("x <= n*a from n0 =", rec.details["n0"])
+x, a = (F(7), F(3)), (F(1), F(2))
+print("x <= n*a from n0 =", threshold(w, tuple(-c for c in x), a))
 
 print("\n== the cornet laws on 200 sampled cases ==")
 reports = check_cornet_laws(inst, seed=0, cases=200)

@@ -77,9 +77,8 @@ from .wedges import (
     NotPointedError,
     Wedge,
     elem_arch_family,
-    interior_archimedean,
     make_elem_cornet,
-    wbounded_check,
+    threshold,
 )
 
 __version__ = "0.1.0"

@@ -103,8 +103,10 @@ class CornetInstance:
     hull: Optional[Callable[[Any], Any]] = None
     closure: Optional[Callable[[Any], Any]] = None
     serialize: Callable[[Any], Any] = repr
+    # Exact deciders for "for all large n": (holds, threshold n0), or None
+    # when the answer is left to the horizon search.
     arch_exact: Optional[Callable[[Any, Any], Optional[tuple[bool, Optional[int]]]]] = None
-    bounded_exact: Optional[Callable[[Any, Any], Optional[int]]] = None
+    bounded_exact: Optional[Callable[[Any, Any], Optional[tuple[bool, Optional[int]]]]] = None
 
     def eq(self, x, y) -> bool:
         return x == y
@@ -312,15 +314,39 @@ def is_nonnegative(inst: CornetInstance, x) -> bool:
     return inst.leq(inst.zero, x)
 
 
-def _horizon_n0(ok: list[bool], n_max: int) -> Optional[int]:
-    """Smallest n0 with ok[n] for all n0 <= n <= n_max, if any (ok is 1-based)."""
-    n0 = None
-    for n in range(n_max, 0, -1):
-        if ok[n]:
-            n0 = n
-        else:
-            break
-    return n0
+def _eventually(
+    inst: CornetInstance,
+    x,
+    items: Sequence[Any],
+    exact: Optional[Callable[[Any, Any], Optional[tuple[bool, Optional[int]]]]],
+    holds_at: Callable[[Any, int], bool],
+    n_max: int,
+    refuting_key: str,
+) -> VerdictRecord:
+    """Decide "holds_at(item, n) for all large n" for every item: by the exact
+    hook exact(x, item) where it answers, else by a search up to n_max for
+    the smallest n0 with holds_at(item, n) at every n0 <= n <= n_max."""
+    details: dict = {"n0": {}}
+    all_exact = True
+    for idx, item in enumerate(items):
+        res = exact(x, item) if exact is not None else None
+        refuted = Verdict.ANALYTICALLY_REFUTED
+        if res is None:
+            all_exact = False
+            refuted = Verdict.REFUTED_AT_HORIZON
+            n0 = None
+            for n in range(n_max, 0, -1):
+                if not holds_at(item, n):
+                    break
+                n0 = n
+            res = n0 is not None, n0
+        holds, n0 = res
+        if not holds:
+            details[refuting_key] = inst.serialize(item)
+            return VerdictRecord(refuted, details)
+        details["n0"][idx] = n0
+    verdict = Verdict.ANALYTICALLY_VERIFIED if all_exact else Verdict.VERIFIED_AT_HORIZON
+    return VerdictRecord(verdict, details)
 
 
 def is_archimedean(inst: CornetInstance, x, h: Horizon) -> VerdictRecord:
@@ -331,50 +357,20 @@ def is_archimedean(inst: CornetInstance, x, h: Horizon) -> VerdictRecord:
     """
     if not h.probes:
         raise ValueError("horizon probe list is empty")
-    details: dict = {"n0": {}}
-    all_exact = True
-    for idx, u in enumerate(h.probes):
-        res = inst.arch_exact(x, u) if inst.arch_exact is not None else None
-        if res is not None:
-            holds, n0 = res
-            if not holds:
-                details["refuting_probe"] = inst.serialize(u)
-                return VerdictRecord(Verdict.ANALYTICALLY_REFUTED, details)
-            details["n0"][idx] = n0
-            continue
-        all_exact = False
-        ok = [False] * (h.n_max + 1)
-        for n in range(1, h.n_max + 1):
-            ok[n] = inst.leq(inst.zero, inst.add(u, inst.star(n, x)))
-        n0 = _horizon_n0(ok, h.n_max)
-        if n0 is None:
-            details["refuting_probe"] = inst.serialize(u)
-            return VerdictRecord(Verdict.REFUTED_AT_HORIZON, details)
-        details["n0"][idx] = n0
-    verdict = Verdict.ANALYTICALLY_VERIFIED if all_exact else Verdict.VERIFIED_AT_HORIZON
-    return VerdictRecord(verdict, details)
+    return _eventually(
+        inst, x, h.probes, inst.arch_exact,
+        lambda u, n: inst.leq(inst.zero, inst.add(u, inst.star(n, x))),
+        h.n_max, "refuting_probe",
+    )
 
 
 def is_A_bounded(inst: CornetInstance, x, fam: ArchFamily, h: Horizon) -> VerdictRecord:
     """Semi-decide 'for all a in the family, x <= n*a for all large n'."""
-    details: dict = {"n0": {}}
-    all_exact = True
-    for idx, a in enumerate(fam.elements):
-        n0 = inst.bounded_exact(x, a) if inst.bounded_exact is not None else None
-        if n0 is not None:
-            details["n0"][idx] = n0
-            continue
-        all_exact = False
-        ok = [False] * (h.n_max + 1)
-        for n in range(1, h.n_max + 1):
-            ok[n] = inst.leq(x, inst.star(n, a))
-        n0 = _horizon_n0(ok, h.n_max)
-        if n0 is None:
-            details["refuting_member"] = inst.serialize(a)
-            return VerdictRecord(Verdict.REFUTED_AT_HORIZON, details)
-        details["n0"][idx] = n0
-    verdict = Verdict.ANALYTICALLY_VERIFIED if all_exact else Verdict.VERIFIED_AT_HORIZON
-    return VerdictRecord(verdict, details)
+    return _eventually(
+        inst, x, fam.elements, inst.bounded_exact,
+        lambda a, n: inst.leq(x, inst.star(n, a)),
+        h.n_max, "refuting_member",
+    )
 
 
 def check_A_continuity(inst: CornetInstance, fam: ArchFamily, n_max: int = 6) -> LawReport:

@@ -248,7 +248,7 @@ def make_fuzzy_cornet(
             return False, None
         return _arch_exact_set(x.levels[0][1], probe.levels[0][1])
 
-    def bounded_exact(x: StepFuzzy, a: StepFuzzy) -> Optional[int]:
+    def bounded_exact(x: StepFuzzy, a: StepFuzzy) -> Optional[tuple[bool, Optional[int]]]:
         if len(a.levels) != 1 or a.top < 1:
             return None
         return _bounded_exact_set(support(x), a.levels[0][1])
@@ -270,5 +270,5 @@ def make_fuzzy_cornet(
         closure=fuzzy_closure,
         serialize=serialize_fuzzy,
         arch_exact=arch_exact,
-        bounded_exact=bounded_exact if w.is_orthant else None,
+        bounded_exact=bounded_exact,
     )

@@ -3,6 +3,8 @@
 An UpperSet denotes either F + W (DISCRETE) or conv(F) + W (POLYTOPIC) for a
 finite generator list F.  Generators are kept in canonical antichain form so
 that syntactic equality of values is semantic equality of denotations.
+Archimedean and boundedness thresholds reduce to ``wedges.threshold`` on
+pairs of generators, over every wedge.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from .geometry import (
     rat,
     vadd,
     vdot,
+    vneg,
     vscale,
     vsub,
     vzero,
 )
-from .wedges import Wedge
+from .wedges import Wedge, threshold
 
 
 class Repr(Enum):
@@ -216,16 +219,14 @@ def subset(A: UpperSet, B: UpperSet) -> bool:
     """Inclusion of denotations, decided by generator membership.
 
     Sound when A is DISCRETE (denotation is a union of translated wedges) or
-    when B is POLYTOPIC (denotation is convex); the one unsound combination
-    is rejected.
+    when B is convex: POLYTOPIC, or DISCRETE with one generator (a translated
+    wedge).  The one unsound combination, polytopic within a discrete set of
+    several generators, is rejected.
     """
     if A.wedge != B.wedge:
         raise WedgeMismatch("operands live over different wedges")
-    if A.repr is Repr.POLYTOPIC and B.repr is Repr.DISCRETE:
-        if A.wedge.dim == 1 and not A.wedge.is_zero:
-            pass  # rays in d=1: both reprs denote the same half-line
-        else:
-            raise UnsupportedOperation("polytopic within discrete is undecided here")
+    if A.repr is Repr.POLYTOPIC and B.repr is Repr.DISCRETE and len(B.generators) > 1:
+        raise UnsupportedOperation("polytopic within discrete is undecided here")
     return all(B.member(g) for g in A.generators)
 
 
@@ -320,45 +321,26 @@ def set_closure(A: UpperSet) -> UpperSet:
 
 
 def _arch_exact_set(x: UpperSet, probe: UpperSet) -> Optional[tuple[bool, Optional[int]]]:
-    """Exact Archimedean threshold when some generator of x points into the
-    strictly negative cone: 0 in U + n*x as soon as f + n.g <= 0."""
-    w = x.wedge
-    if not w.is_orthant:
-        return None
-    best: Optional[int] = None
-    for g in x.generators:
-        if not all(gi <= 0 for gi in g):
-            continue
-        for f in probe.generators:
-            n0 = 1
-            ok = True
-            for fi, gi in zip(f, g):
-                if gi < 0:
-                    n0 = max(n0, (fi / -gi).__ceil__())
-                elif fi > 0:
-                    ok = False
-                    break
-            if ok:
-                best = n0 if best is None else min(best, n0)
-    if best is not None:
-        return True, best
-    return None
+    """0 in U + n*x for all n >= threshold(W, -f, -g), for any probe
+    generator f and generator g of x that have one: f + n.g <= 0 from there
+    on.  The smallest such threshold is returned; without one the horizon
+    search decides."""
+    n0s = [threshold(x.wedge, vneg(f), vneg(g)) for g in x.generators for f in probe.generators]
+    n0s = [n0 for n0 in n0s if n0 is not None]
+    return (True, min(n0s)) if n0s else None
 
 
-def _bounded_exact_set(x: UpperSet, a: UpperSet) -> Optional[int]:
-    """Exact boundedness threshold against a single strictly negative
-    generator: x <= n*a iff every generator dominates n.g."""
-    w = x.wedge
-    if not w.is_orthant or len(a.generators) != 1:
+def _bounded_exact_set(x: UpperSet, a: UpperSet) -> Optional[tuple[bool, Optional[int]]]:
+    """Against a = {g} + W, x <= n*a iff every generator f of x lies in
+    n.g + W (a translated wedge is convex), so the largest threshold(W, f, -g)
+    decides it, and a generator without one refutes it."""
+    if len(a.generators) != 1:
         return None
     (g,) = a.generators
-    if not all(gi < 0 for gi in g):
-        return None
-    n0 = 1
-    for f in x.generators:
-        for fi, gi in zip(f, g):
-            n0 = max(n0, (fi / gi).__ceil__())
-    return n0
+    n0s = [threshold(x.wedge, f, vneg(g)) for f in x.generators]
+    if None in n0s:
+        return False, None
+    return True, max(n0s)
 
 
 def _sample_gens(
@@ -411,8 +393,8 @@ def make_set_cornet(
         hull=convex_hull,
         closure=set_closure,
         serialize=serialize_set,
-        arch_exact=_arch_exact_set if w.is_orthant else None,
-        bounded_exact=_bounded_exact_set if w.is_orthant else None,
+        arch_exact=_arch_exact_set,
+        bounded_exact=_bounded_exact_set,
     )
     return inst
 

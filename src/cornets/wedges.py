@@ -4,7 +4,8 @@ A wedge is a pointed polyhedral cone W, held as the rows of its
 H-representation; ``Wedge`` is the package's one cone type.  It orders the
 ambient rational vector space by x <= y iff y - x lies in W.  With star equal
 to iterated addition this gives the simplest cornet, in which every element
-is n-convex.
+is n-convex.  ``threshold`` is the one closed form behind every exact
+Archimedean and boundedness decision, for points, sets and fuzzy sets alike.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 from typing import Optional, Sequence
 
-from .core import ArchFamily, CornetInstance, Verdict, VerdictRecord
+from .core import ArchFamily, CornetInstance
 from .geometry import (
     DimensionMismatch,
     Vec,
@@ -123,47 +124,22 @@ class Wedge:
         return (Fraction(1),) * self.dim
 
 
-def interior_archimedean(w: Wedge, x: Vec, probes: Sequence[Vec], n_max: int = 12) -> VerdictRecord:
-    """Archimedean test in the element cornet.
+def threshold(w: Wedge, u: Vec, x: Vec) -> Optional[int]:
+    """The least n0 >= 1 with u + n.x in W for every n >= n0, or None.
 
-    Strictly interior x admits an exact per-probe threshold
-    n0 = max_rows ceil(-(m.u) / (m.x)); boundary elements fall back to a
-    horizon search.
+    Row by row, m.u + n (m.x) >= 0 holds for all large n iff m.x > 0, or
+    m.x == 0 and m.u >= 0; a row with m.u < 0 < m.x first holds at
+    n = ceil(-(m.u) / (m.x)).  Every quantifier "for all large n" over the
+    wedge order reduces to this closed form.
     """
-    details: dict = {"n0": {}}
-    if w.interior_contains(x) and w.rows:
-        for idx, u in enumerate(probes):
-            n0 = 1
-            for m in w.rows:
-                mu, mx = vdot(m, u), vdot(m, x)
-                if mu < 0:
-                    need = -mu / mx
-                    n0 = max(n0, need.__ceil__())
-            details["n0"][idx] = n0
-        return VerdictRecord(Verdict.ANALYTICALLY_VERIFIED, details)
-    for idx, u in enumerate(probes):
-        found = None
-        for n0 in range(1, n_max + 1):
-            if all(w.contains(vadd(u, vscale(n, x))) for n in range(n0, n_max + 1)):
-                found = n0
-                break
-        if found is None:
-            details["refuting_probe"] = u
-            return VerdictRecord(Verdict.REFUTED_AT_HORIZON, details)
-        details["n0"][idx] = found
-    return VerdictRecord(Verdict.VERIFIED_AT_HORIZON, details)
-
-
-def wbounded_check(w: Wedge, x: Vec, a: Vec) -> VerdictRecord:
-    """Exact n0 with x <= n.a for all n >= n0, for strictly interior a."""
-    if not w.interior_contains(a) or not w.rows:
-        raise ValueError("reference element must be strictly interior")
     n0 = 1
     for m in w.rows:
-        mx, ma = vdot(m, x), vdot(m, a)
-        if mx > 0:
-            n0 = max(n0, (mx / ma).__ceil__())
-    return VerdictRecord(Verdict.ANALYTICALLY_VERIFIED, {"n0": n0})
+        a, b = vdot(m, u), vdot(m, x)
+        if b < 0 or (b == 0 and a < 0):
+            return None
+        if a < 0:
+            n0 = max(n0, ceil(-a / b))
+    return n0
 
 
 def elem_arch_family(w: Wedge, epsilons: Sequence) -> ArchFamily:
@@ -209,16 +185,15 @@ def make_elem_cornet(w: Wedge) -> CornetInstance:
             raise ValueError("n must be >= 1")
         return vscale(n, x)
 
-    def arch_exact(x: Vec, u: Vec) -> Optional[tuple[bool, Optional[int]]]:
-        if w.interior_contains(x) and w.rows:
-            rec = interior_archimedean(w, x, [u])
-            return True, rec.details["n0"][0]
-        return None
+    # 0 <= u + n*x and x <= n*a are both "u' + n.x' in W", so the threshold
+    # decides them exactly for every element, boundary points included.
+    def arch_exact(x: Vec, u: Vec) -> tuple[bool, Optional[int]]:
+        n0 = threshold(w, u, x)
+        return n0 is not None, n0
 
-    def bounded_exact(x: Vec, a: Vec) -> Optional[int]:
-        if w.interior_contains(a) and w.rows:
-            return wbounded_check(w, x, a).details["n0"]
-        return None
+    def bounded_exact(x: Vec, a: Vec) -> tuple[bool, Optional[int]]:
+        n0 = threshold(w, vneg(x), a)
+        return n0 is not None, n0
 
     def finite_inf(xs: Sequence[Vec]) -> Vec:
         if not w.is_orthant:

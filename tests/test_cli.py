@@ -30,6 +30,9 @@ SETQ_FILE = {
     "options": {"seed": 0},
 }
 
+# A custom pointed wedge, x >= 0 and x + y >= 0, that is not the orthant.
+SKEW_ROWS = [["1", "0"], ["1", "1"]]
+
 
 @pytest.fixture
 def setq_path(tmp_path):
@@ -120,6 +123,24 @@ class TestExitCodes:
     def test_laws_pass(self, setq_path, capsys):
         assert main(["laws", setq_path, "--cases", "25"]) == EXIT_PASS
         assert "status: pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "universe, cases",
+        [
+            ({"kind": "setQ", "dim": 2, "wedge": {"rows": SKEW_ROWS}, "repr": "discrete"}, 6),
+            ({"kind": "setQ", "dim": 2, "wedge": {"rows": SKEW_ROWS}, "repr": "polytopic"}, 6),
+            ({"kind": "elemQ", "dim": 2, "wedge": {"rows": [["1", "0"], ["-1", "1"]]}}, 10),
+        ],
+    )
+    def test_laws_pass_on_custom_wedges(self, tmp_path, capsys, universe, cases):
+        # A horizon search for boundedness reports spurious `star unbounded`
+        # violations on these wedges, and the polytopic universe compares
+        # polytopic sets with one-generator discrete family members.
+        path = _write(tmp_path, {"universe": universe, "family": {"epsilons": ["1", "1/2"]}})
+        assert main(["laws", path, "--cases", str(cases), "--format", "json"]) == EXIT_PASS
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "pass"
+        assert all(law["passed"] for law in report["laws"])
 
     def test_laws_input_error(self, tmp_path, capsys):
         path = _write(tmp_path, {"universe": {"kind": "setQ", "dim": 2}})

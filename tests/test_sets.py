@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornets.core import Horizon, case_rng, check_A_continuity, is_archimedean
+from cornets.core import (
+    Horizon,
+    Verdict,
+    case_rng,
+    check_A_continuity,
+    is_A_bounded,
+    is_archimedean,
+)
 from cornets.geometry import rational_grid, vadd, vscale
 from cornets.sets import (
     MultisetCapExceeded,
@@ -19,6 +26,8 @@ from cornets.sets import (
     UnsupportedOperation,
     UpperSet,
     WedgeMismatch,
+    _arch_exact_set,
+    _bounded_exact_set,
     _canonicalize,
     _poly_member_lp,
     convex_hull,
@@ -62,6 +71,48 @@ def _restart_scan(w, gens):
                 changed = True
                 break
     return tuple(kept)
+
+
+def _ref_arch_exact_set(x, probe):
+    """Reference: the orthant-only Archimedean threshold that the threshold
+    pairs in _arch_exact_set replaced."""
+    w = x.wedge
+    if not w.is_orthant:
+        return None
+    best = None
+    for g in x.generators:
+        if not all(gi <= 0 for gi in g):
+            continue
+        for f in probe.generators:
+            n0 = 1
+            ok = True
+            for fi, gi in zip(f, g):
+                if gi < 0:
+                    n0 = max(n0, (fi / -gi).__ceil__())
+                elif fi > 0:
+                    ok = False
+                    break
+            if ok:
+                best = n0 if best is None else min(best, n0)
+    if best is not None:
+        return True, best
+    return None
+
+
+def _ref_bounded_exact_set(x, a):
+    """Reference: the orthant-only boundedness threshold against a single
+    strictly negative generator, which _bounded_exact_set replaced."""
+    w = x.wedge
+    if not w.is_orthant or len(a.generators) != 1:
+        return None
+    (g,) = a.generators
+    if not all(gi < 0 for gi in g):
+        return None
+    n0 = 1
+    for f in x.generators:
+        for fi, gi in zip(f, g):
+            n0 = max(n0, (fi / gi).__ceil__())
+    return n0
 
 
 # Wedges on which polytopic canonicalisation takes the general LP scan.
@@ -296,9 +347,21 @@ class TestSubsetAndIntersect:
 
     def test_polytopic_in_discrete_rejected(self):
         A = polytopic(W2, [(0, 1), (1, 0)])
-        B = discrete(W2, [(0, 0)])
+        B = discrete(W2, [(0, 1), (1, 0)])
         with pytest.raises(UnsupportedOperation):
             subset(A, B)
+
+    def test_polytopic_in_one_generator_discrete(self):
+        # {g} + W is convex, so A's generators decide the inclusion.
+        w = Wedge.from_rows([[1, 0], [1, 1]])
+        assert subset(polytopic(w, [(0, 0), (2, 1)]), discrete(w, [(-1, -1)]))
+        assert not subset(polytopic(w, [(0, 0), (2, 1)]), discrete(w, [(1, -1)]))
+        rng = random.Random(77)
+        for w in (W2, Wedge.zero(2), w, Wedge.from_rows([[1, 0], [-1, 1]])):
+            for _ in range(10):
+                A = polytopic(w, _rand_gens(rng, 2, 3, -4, 4))
+                (g,) = _rand_gens(rng, 2, 1, -4, 4)
+                assert subset(A, discrete(w, [g])) == subset(A, polytopic(w, [g]))
 
     def test_1d_ray_crosses_reprs(self):
         w1 = Wedge.orthant(1)
@@ -396,6 +459,54 @@ class TestArchFamily:
     def test_zero_wedge_has_no_interior_direction(self):
         with pytest.raises(ValueError):
             set_arch_family(WZ, [F(1)])
+
+
+class TestExactThresholds:
+    small = st.fractions(min_value=-6, max_value=3, max_denominator=4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_deciders_match_orthant_references(self, data):
+        w = Wedge.orthant(data.draw(st.sampled_from([2, 3])))
+        rp = data.draw(st.sampled_from(list(Repr)))
+        vecs = st.lists(st.tuples(*[self.small] * w.dim), min_size=1, max_size=3)
+        x = UpperSet.make(w, rp, data.draw(vecs))
+        probe = UpperSet.make(w, rp, data.draw(vecs))
+        a = UpperSet.make(w, rp, data.draw(vecs.map(lambda gs: gs[:1])))
+        ref = _ref_arch_exact_set(x, probe)
+        if ref is not None:
+            assert _arch_exact_set(x, probe) == ref
+        ref = _ref_bounded_exact_set(x, a)
+        if ref is not None:
+            assert _bounded_exact_set(x, a) == (True, ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bounded_threshold_is_least(self, data):
+        # Checked on inclusion itself, over wedges the references never saw.
+        w = data.draw(st.sampled_from([W2, Wedge.zero(2)] + SCAN_WEDGES[3:4]))
+        rp = data.draw(st.sampled_from(list(Repr)))
+        vecs = st.lists(st.tuples(*[self.small] * w.dim), min_size=1, max_size=3)
+        x = UpperSet.make(w, rp, data.draw(vecs))
+        a = UpperSet.make(w, Repr.DISCRETE, data.draw(vecs.map(lambda gs: gs[:1])))
+        holds, n0 = _bounded_exact_set(x, a)
+        if holds:
+            assert all(subset(x, star_set(n, a)) for n in range(n0, n0 + 6))
+            assert n0 == 1 or not subset(x, star_set(n0 - 1, a))
+        else:
+            assert not subset(x, star_set(10**4, a))
+
+    def test_custom_wedge_answers_exactly(self):
+        # Off the orthant, with n0 = 40 beyond a horizon of 24.
+        w = Wedge.from_rows([[1, 0], [1, 1]])
+        inst = make_set_cornet(w, Repr.DISCRETE)
+        fam = set_arch_family(w, [F(1), F(1, 2)])
+        x = discrete(w, [(-5, -4)])
+        rec = is_A_bounded(inst, star_set(4, x), fam, Horizon(24))
+        assert rec.verdict is Verdict.ANALYTICALLY_VERIFIED
+        assert rec.details["n0"] == {0: 20, 1: 40}
+        rec = is_archimedean(inst, fam.elements[0], Horizon(12, (discrete(w, [(3, 5)]),)))
+        assert rec.verdict is Verdict.ANALYTICALLY_VERIFIED and rec.details["n0"][0] == 4
 
 
 class TestZUniverse:

@@ -1,24 +1,82 @@
 """Wedges over Q^d and the element cornet: order structure, pointedness
-enforcement, and the closed-form Archimedean/boundedness thresholds."""
+enforcement, and the closed-form threshold behind every exact Archimedean
+and boundedness decision, checked against brute force and against the
+interior-only deciders it replaced."""
 
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornets.core import Verdict, check_cornet_laws, check_lemma_identities
+from cornets.core import (
+    Horizon,
+    Verdict,
+    VerdictRecord,
+    check_cornet_laws,
+    check_lemma_identities,
+    is_archimedean,
+)
+from cornets.geometry import vadd, vdot, vneg, vscale
 from cornets.wedges import (
     NotPointedError,
     Wedge,
     elem_arch_family,
-    interior_archimedean,
     make_elem_cornet,
-    wbounded_check,
+    threshold,
 )
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 vec2 = st.tuples(rationals, rationals)
+
+# Wedges the threshold is checked on: the orthant, the zero wedge and two
+# custom cones.
+THRESHOLD_WEDGES = [
+    Wedge.orthant(2),
+    Wedge.zero(2),
+    Wedge.from_rows([[1, 0], [-1, 1]]),
+    Wedge.from_rows([[1, 0], [1, 1]]),
+]
+
+
+def _ref_interior_archimedean(w, x, probes, n_max=12):
+    """Reference: the element Archimedean test that threshold replaced, exact
+    for strictly interior x and a horizon search otherwise."""
+    details: dict = {"n0": {}}
+    if w.interior_contains(x) and w.rows:
+        for idx, u in enumerate(probes):
+            n0 = 1
+            for m in w.rows:
+                mu, mx = vdot(m, u), vdot(m, x)
+                if mu < 0:
+                    need = -mu / mx
+                    n0 = max(n0, need.__ceil__())
+            details["n0"][idx] = n0
+        return VerdictRecord(Verdict.ANALYTICALLY_VERIFIED, details)
+    for idx, u in enumerate(probes):
+        found = None
+        for n0 in range(1, n_max + 1):
+            if all(w.contains(vadd(u, vscale(n, x))) for n in range(n0, n_max + 1)):
+                found = n0
+                break
+        if found is None:
+            details["refuting_probe"] = u
+            return VerdictRecord(Verdict.REFUTED_AT_HORIZON, details)
+        details["n0"][idx] = found
+    return VerdictRecord(Verdict.VERIFIED_AT_HORIZON, details)
+
+
+def _ref_wbounded_check(w, x, a):
+    """Reference: the boundedness threshold that threshold replaced, for
+    strictly interior a only."""
+    if not w.interior_contains(a) or not w.rows:
+        raise ValueError("reference element must be strictly interior")
+    n0 = 1
+    for m in w.rows:
+        mx, ma = vdot(m, x), vdot(m, a)
+        if mx > 0:
+            n0 = max(n0, (mx / ma).__ceil__())
+    return VerdictRecord(Verdict.ANALYTICALLY_VERIFIED, {"n0": n0})
 
 
 class TestWedgeConstruction:
@@ -84,29 +142,61 @@ class TestInteriorThresholds:
 
     def test_interior_archimedean_exact(self):
         x = (F(1), F(1, 2))
-        probes = [(F(-5), F(-7)), (F(3), F(-1))]
-        rec = interior_archimedean(self.W, x, probes)
-        assert rec.verdict is Verdict.ANALYTICALLY_VERIFIED
-        assert rec.details["n0"][0] == 14
-        assert rec.details["n0"][1] == 2
+        assert threshold(self.W, (F(-5), F(-7)), x) == 14
+        assert threshold(self.W, (F(3), F(-1)), x) == 2
 
-    def test_boundary_falls_back_to_horizon(self):
+    def test_boundary_threshold_is_exact(self):
         x = (F(1), F(0))
-        rec = interior_archimedean(self.W, x, [(F(-1), F(-1))], n_max=10)
-        assert rec.verdict is Verdict.REFUTED_AT_HORIZON
+        assert threshold(self.W, (F(-1), F(-1)), x) is None
+        inst = make_elem_cornet(self.W)
+        rec = is_archimedean(inst, x, Horizon(10, ((F(-1), F(-1)),)))
+        assert rec.verdict is Verdict.ANALYTICALLY_REFUTED
+        assert rec.details["refuting_probe"] == ["-1", "-1"]
 
     def test_wbounded_threshold_exact(self):
         a = (F(1), F(2))
         x = (F(7), F(3))
-        rec = wbounded_check(self.W, x, a)
-        n0 = rec.details["n0"]
+        n0 = threshold(self.W, vneg(x), a)
         assert n0 == 7
         assert self.W.leq(x, (n0 * a[0], n0 * a[1]))
         assert not self.W.leq(x, ((n0 - 1) * a[0], (n0 - 1) * a[1]))
 
-    def test_wbounded_requires_interior_reference(self):
-        with pytest.raises(ValueError):
-            wbounded_check(self.W, (F(1), F(1)), (F(1), F(0)))
+    def test_boundary_reference_is_exact(self):
+        # x <= n.(1, 0) never holds for x = (1, 1), and holds from n = 1 on
+        # for x = (1, -1); the interior-only decider refused both.
+        a = (F(1), F(0))
+        assert threshold(self.W, (F(-1), F(-1)), a) is None
+        assert threshold(self.W, (F(-1), F(1)), a) == 1
+        inst = make_elem_cornet(self.W)
+        assert inst.bounded_exact((F(1), F(1)), a) == (False, None)
+        assert inst.bounded_exact((F(1), F(-1)), a) == (True, 1)
+
+
+class TestThresholdDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(THRESHOLD_WEDGES), vec2, vec2)
+    def test_against_brute_force(self, w, u, x):
+        n0 = threshold(w, u, x)
+        member = lambda n: w.contains(vadd(u, vscale(n, x)))
+        if n0 is None:
+            assert not member(10**6)
+        else:
+            assert all(member(n) for n in range(n0, n0 + 21))
+            assert n0 == 1 or not member(n0 - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_interior_references(self, data):
+        w = data.draw(st.sampled_from([Wedge.orthant(2), Wedge.orthant(3)] + THRESHOLD_WEDGES[2:]))
+        vec = st.tuples(*[rationals] * w.dim)
+        x, u, a = data.draw(vec), data.draw(vec), data.draw(vec)
+        inst = make_elem_cornet(w)
+        ref = _ref_interior_archimedean(w, x, [u])
+        if ref.verdict.exact:
+            assert inst.arch_exact(x, u) == (True, ref.details["n0"][0])
+        if w.interior_contains(a):
+            ref = _ref_wbounded_check(w, x, a)
+            assert inst.bounded_exact(x, a) == (True, ref.details["n0"])
 
 
 class TestElemCornet:
