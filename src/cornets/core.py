@@ -585,33 +585,43 @@ def ablation_hunt(
     reproducible.  ``convexity_test`` overrides the default some-m-convex
     predicate (finite integer universes use order-convexity instead, where
     the default admits only singletons).  Returns (x, y, z) or None.
+
+    The admitted y are filtered once, before the scan.  Each sum
+    ``elements[i] + elements[k]`` is computed on first use and kept, keyed
+    by position, for the rest of this call, so the O(U^3) scan makes at
+    most U^2 additions; nothing is kept across calls.
     """
-    if ablate not in ("convexity", "closedness", "boundedness", "none"):
-        raise ValueError(f"unknown ablation {ablate!r}")
-    elements = sorted(universe, key=lambda e: str(inst.serialize(e)))
     if convexity_test is None:
         convexity_test = lambda e: any(is_n_convex(inst, e, n) for n in range(2, m_cap + 1))
-    convexish = {id(e): convexity_test(e) for e in elements}
-    closed = {id(e): inst.closure is None or inst.eq(inst.closure(e), e) for e in elements}
 
-    def y_admits(y) -> bool:
-        if ablate == "convexity":
-            return not convexish[id(y)]
-        if ablate == "closedness":
-            return not closed[id(y)]
-        if ablate == "boundedness":
-            return False  # every element of a finite universe is bounded
-        return convexish[id(y)] and closed[id(y)]
+    def closed(e) -> bool:
+        return inst.closure is None or inst.eq(inst.closure(e), e)
 
-    for x in elements:
-        for y in elements:
-            if not y_admits(y):
-                continue
+    admits = {
+        "convexity": lambda y: not convexity_test(y),
+        "closedness": lambda y: not closed(y),
+        "boundedness": lambda y: False,  # every element of a finite universe is bounded
+        "none": lambda y: convexity_test(y) and closed(y),
+    }.get(ablate)
+    if admits is None:
+        raise ValueError(f"unknown ablation {ablate!r}")
+    elements = sorted(universe, key=lambda e: str(inst.serialize(e)))
+    admitted = [(j, y) for j, y in enumerate(elements) if admits(y)]
+    sums: dict[tuple[int, int], Any] = {}
+
+    def plus(i: int, k: int):
+        s = sums.get((i, k))
+        if s is None:
+            s = sums[i, k] = inst.add(elements[i], elements[k])
+        return s
+
+    for i, x in enumerate(elements):
+        for j, y in admitted:
             if inst.leq(x, y):
                 continue
-            for z in elements:
-                if inst.leq(inst.add(x, z), inst.add(y, z)):
-                    return (x, y, z)
+            for k in range(len(elements)):
+                if inst.leq(plus(i, k), plus(j, k)):
+                    return (x, y, elements[k])
     return None
 
 

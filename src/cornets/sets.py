@@ -218,14 +218,20 @@ def star_set(n: int, A: UpperSet) -> UpperSet:
 def subset(A: UpperSet, B: UpperSet) -> bool:
     """Inclusion of denotations, decided by generator membership.
 
-    Sound when A is DISCRETE (denotation is a union of translated wedges) or
-    when B is convex: POLYTOPIC, or DISCRETE with one generator (a translated
-    wedge).  The one unsound combination, polytopic within a discrete set of
-    several generators, is rejected.
+    Sound when A is a union of translated wedges (DISCRETE, or POLYTOPIC
+    with one generator) or when B is convex: POLYTOPIC, or DISCRETE with one
+    generator (a translated wedge).  The one unsound combination, a
+    polytopic A of several generators within a discrete set of several
+    generators, is rejected.
     """
     if A.wedge != B.wedge:
         raise WedgeMismatch("operands live over different wedges")
-    if A.repr is Repr.POLYTOPIC and B.repr is Repr.DISCRETE and len(B.generators) > 1:
+    if (
+        A.repr is Repr.POLYTOPIC
+        and len(A.generators) > 1
+        and B.repr is Repr.DISCRETE
+        and len(B.generators) > 1
+    ):
         raise UnsupportedOperation("polytopic within discrete is undecided here")
     return all(B.member(g) for g in A.generators)
 
@@ -323,11 +329,19 @@ def set_closure(A: UpperSet) -> UpperSet:
 def _arch_exact_set(x: UpperSet, probe: UpperSet) -> Optional[tuple[bool, Optional[int]]]:
     """0 in U + n*x for all n >= threshold(W, -f, -g), for any probe
     generator f and generator g of x that have one: f + n.g <= 0 from there
-    on.  The smallest such threshold is returned; without one the horizon
-    search decides."""
+    on.  The smallest such threshold is returned.
+
+    Without one, when both sets are DISCRETE, 0 in U + n*x needs some pair
+    with f + n.g <= 0, and a pair without a threshold holds only on a
+    bounded set of n (the n where it holds form an interval), so the
+    property fails for all large n.  Otherwise the horizon search decides."""
     n0s = [threshold(x.wedge, vneg(f), vneg(g)) for g in x.generators for f in probe.generators]
     n0s = [n0 for n0 in n0s if n0 is not None]
-    return (True, min(n0s)) if n0s else None
+    if n0s:
+        return True, min(n0s)
+    if x.repr is Repr.DISCRETE and probe.repr is Repr.DISCRETE:
+        return False, None
+    return None
 
 
 def _bounded_exact_set(x: UpperSet, a: UpperSet) -> Optional[tuple[bool, Optional[int]]]:

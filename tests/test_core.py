@@ -7,6 +7,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornets.core import (
     Horizon,
@@ -208,8 +210,82 @@ class TestCancellation:
             cancellation_check(SETQ, SETQ.zero, SETQ.zero, SETQ.zero, 1, self.FAM, Horizon(12))
 
 
+def _ref_hunt(inst, universe, ablate="none", m_cap=4, convexity_test=None):
+    """Reference: the unmemoised scan that ablation_hunt replaced, with the y
+    filter inside the loop and every sum recomputed."""
+    elements = sorted(universe, key=lambda e: str(inst.serialize(e)))
+    if convexity_test is None:
+        convexity_test = lambda e: any(is_n_convex(inst, e, n) for n in range(2, m_cap + 1))
+    convexish = {id(e): convexity_test(e) for e in elements}
+    closed = {id(e): inst.closure is None or inst.eq(inst.closure(e), e) for e in elements}
+
+    def y_admits(y):
+        if ablate == "convexity":
+            return not convexish[id(y)]
+        if ablate == "closedness":
+            return not closed[id(y)]
+        if ablate == "boundedness":
+            return False
+        return convexish[id(y)] and closed[id(y)]
+
+    for x in elements:
+        for y in elements:
+            if not y_admits(y) or inst.leq(x, y):
+                continue
+            for z in elements:
+                if inst.leq(inst.add(x, z), inst.add(y, z)):
+                    return (x, y, z)
+    return None
+
+
 class TestAblationHunt:
     INST = make_set_cornet(Wedge.zero(1), Repr.DISCRETE, integer=True)
+
+    @staticmethod
+    def _interval_hull(A):
+        vals = [g[0] for g in A.generators]
+        return discrete(Wedge.zero(1), [(v,) for v in range(int(min(vals)), int(max(vals)) + 1)])
+
+    # Few draws have a triple at all, so many examples are needed to see a
+    # wrong scan order or filter; one costs about 10 ms.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([enumerate_z_subsets, interval_z_subsets]),
+        st.integers(-1, 1),
+        st.integers(-1, 3),
+        st.sampled_from(["none", "convexity", "closedness", "boundedness"]),
+        st.sampled_from(["identity", "absent", "interval-hull"]),
+        st.sampled_from([order_convex_z, None]),
+        st.data(),
+    )
+    def test_matches_unmemoised_scan(self, make_universe, lo, hi, ablate, closure, convex, data):
+        hi = max(lo, hi)
+        # The built-in closure is the identity, under which closedness admits
+        # no y; an interval-hull closure makes that ablation scan too.
+        inst = dataclasses.replace(
+            self.INST,
+            closure={"identity": self.INST.closure, "absent": None, "interval-hull": self._interval_hull}[closure],
+        )
+        # Sub-universes move the first hit off the first few z; the scan sorts
+        # its universe, so the order it is given in is free.
+        full = make_universe(hi, lo=lo)
+        universe = data.draw(st.lists(st.sampled_from(full), min_size=1, unique_by=id) | st.permutations(full))
+        got = ablation_hunt(inst, universe, ablate, convexity_test=convex)
+        ref = _ref_hunt(inst, universe, ablate, convexity_test=convex)
+        ser = lambda t: None if t is None else [inst.serialize(e) for e in t]
+        assert ser(got) == ser(ref)
+
+    def test_each_sum_is_computed_once(self):
+        calls = []
+
+        def add(a, b):
+            calls.append(1)
+            return self.INST.add(a, b)
+
+        counted = dataclasses.replace(self.INST, add=add)
+        universe = enumerate_z_subsets(4)
+        assert ablation_hunt(counted, universe, "none", convexity_test=order_convex_z) is None
+        assert len(calls) <= len(universe) ** 2 == 961
 
     def test_convexity_ablation_finds_triple(self):
         universe = enumerate_z_subsets(3)

@@ -363,6 +363,18 @@ class TestSubsetAndIntersect:
                 (g,) = _rand_gens(rng, 2, 1, -4, 4)
                 assert subset(A, discrete(w, [g])) == subset(A, polytopic(w, [g]))
 
+    def test_one_generator_polytopic_in_discrete(self):
+        # {g} + W is a translated wedge, so B.member(g) decides the inclusion.
+        B = discrete(W2, [(0, 1), (1, 0)])
+        assert not subset(polytopic(W2, [(0, 0)]), B)
+        assert subset(polytopic(W2, [(1, 1)]), B)
+        rng = random.Random(78)
+        for w in (W2, Wedge.zero(2), Wedge.from_rows([[1, 0], [-1, 1]])):
+            for _ in range(10):
+                (g,) = _rand_gens(rng, 2, 1, -4, 4)
+                B = discrete(w, _rand_gens(rng, 2, 3, -4, 4))
+                assert subset(polytopic(w, [g]), B) == subset(discrete(w, [g]), B)
+
     def test_1d_ray_crosses_reprs(self):
         w1 = Wedge.orthant(1)
         assert set_eq(polytopic(w1, [(2,)]), discrete(w1, [(2,)]))
@@ -495,6 +507,36 @@ class TestExactThresholds:
             assert n0 == 1 or not subset(x, star_set(n0 - 1, a))
         else:
             assert not subset(x, star_set(10**4, a))
+
+    # Probe coordinates are integers in -3..3 and every positive m.g is at
+    # least 1/4 on these wedges (rows +-e_i), so a pair without a threshold
+    # holds at no n above 12: a refutation must fail at every n in 13..40.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([W2, Wedge.orthant(3), Wedge.zero(2)]),
+        st.data(),
+    )
+    def test_discrete_refutation_against_brute_force(self, w, data):
+        coords = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        x = discrete(w, data.draw(st.lists(st.tuples(*[coords] * w.dim), min_size=1, max_size=3)))
+        probe = discrete(w, data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * w.dim), min_size=1, max_size=3)))
+        inst = make_set_cornet(w)
+        holds_at = lambda n: subset(inst.zero, msum(probe, star_set(n, x)))
+        holds, n0 = _arch_exact_set(x, probe)
+        if holds:
+            assert all(holds_at(n) for n in range(n0, n0 + 21))
+        else:
+            assert n0 is None
+            assert not any(holds_at(n) for n in range(13, 41))
+
+    def test_discrete_refutation_beyond_horizon(self):
+        # 0 in U + n*x holds for n <= 12 only, so the horizon search said yes.
+        inst = make_set_cornet(W2)
+        x = discrete(W2, [(-1, F(1, 12))])
+        probe = discrete(W2, [(0, -1)])
+        assert subset(inst.zero, msum(probe, star_set(12, x)))
+        rec = is_archimedean(inst, x, Horizon(12, (probe,)))
+        assert rec.verdict is Verdict.ANALYTICALLY_REFUTED
 
     def test_custom_wedge_answers_exactly(self):
         # Off the orthant, with n0 = 40 beyond a horizon of 24.
