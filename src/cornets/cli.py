@@ -58,7 +58,10 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 # The law suites compute about n_max**2 stars per case; one setQ d=3 case
-# takes 2.8 s at n_max 12 and 11.7 s at 16, so larger values are refused.
+# takes 2.8 s at n_max 12 and 11.7 s at 16.  Deciding n-convexity of a
+# three-generator setQ d=2 set takes 0.03 s at n = 12 and 1.9 s at 64.  So
+# every n the CLI takes (--max-n, n_max, --m, --op convex:<n>) is refused
+# above 12.
 N_MAX_LIMIT = 12
 
 
@@ -364,6 +367,8 @@ def cmd_cancel(args) -> int:
             raise CliError(f"element {name!r} not defined in the instance file", "$.elements")
     if args.m < 2:
         raise CliError(f"must be >= 2, got {args.m}", "--m")
+    if args.m > N_MAX_LIMIT:
+        raise CliError(f"must be <= {N_MAX_LIMIT}, got {args.m}", "--m")
     if loaded.family is None:
         raise CliError(loaded.family_note or "no Archimedean family available")
     x, y, z = loaded.elements[args.x], loaded.elements[args.y], loaded.elements[args.z]
@@ -454,6 +459,8 @@ def cmd_inspect(args) -> int:
             raise CliError(f"bad op {op!r}; expected convex:<n>")
         if n < 1:
             raise CliError("convex:<n> needs n >= 1")
+        if n > N_MAX_LIMIT:
+            raise CliError(f"must be <= {N_MAX_LIMIT}, got {n}", "--op")
         result = is_n_convex(inst, el, n)
     elif op == "hull":
         if inst.hull is None:

@@ -574,7 +574,6 @@ def ablation_hunt(
     inst: CornetInstance,
     universe: Iterable[Any],
     ablate: str = "none",
-    m_cap: int = 4,
     convexity_test: Optional[Callable[[Any], bool]] = None,
 ) -> Optional[tuple]:
     """Exhaustively search for triples breaking cancellation when one
@@ -582,9 +581,9 @@ def ablation_hunt(
 
     ``ablate`` is one of convexity / closedness / boundedness / none.  The
     scan order is lexicographic on serialized elements, so the first hit is
-    reproducible.  ``convexity_test`` overrides the default some-m-convex
-    predicate (finite integer universes use order-convexity instead, where
-    the default admits only singletons).  Returns (x, y, z) or None.
+    reproducible.  ``convexity_test`` overrides the default, m-convex for
+    some m in 2..4 (finite integer universes use order-convexity instead,
+    where the default admits only singletons).  Returns (x, y, z) or None.
 
     The admitted y are filtered once, before the scan.  Each sum
     ``elements[i] + elements[k]`` is computed on first use and kept, keyed
@@ -592,7 +591,7 @@ def ablation_hunt(
     most U^2 additions; nothing is kept across calls.
     """
     if convexity_test is None:
-        convexity_test = lambda e: any(is_n_convex(inst, e, n) for n in range(2, m_cap + 1))
+        convexity_test = lambda e: any(is_n_convex(inst, e, n) for n in range(2, 5))
 
     def closed(e) -> bool:
         return inst.closure is None or inst.eq(inst.closure(e), e)

@@ -4,6 +4,8 @@ A StepFuzzy value is a finite descending level decomposition: finitely many
 level values with nested cuts, each cut a finitely generated W-invariant
 upper set.  Because cuts are finitely generated, the supremum in the sup-min
 convolution is attained and every operation here is exact and levelwise.
+The Archimedean family, characteristic functions of the set family, exists
+only at p = 1 and comes from ``wedges.arch_family``.
 """
 
 from __future__ import annotations
@@ -14,23 +16,24 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .core import ArchFamily, CornetInstance
-from .geometry import Vec, rat, vscale, vzero
+from .geometry import Vec, rat, vneg, vzero
 from .sets import (
     Repr,
     UpperSet,
     WedgeMismatch,
     _arch_exact_set,
     _bounded_exact_set,
+    _family_point,
     _sample_gens,
     finite_intersection,
-    intersect,
     is_n_convex_set,
     msum,
+    phi_embed,
     serialize_set,
     star_set,
     subset,
 )
-from .wedges import Wedge
+from .wedges import Wedge, arch_family
 
 
 class NoArchimedeanElements(ValueError):
@@ -178,23 +181,8 @@ def fuzzy_arch_family(w: Wedge, epsilons: Sequence, p=1) -> ArchFamily:
         raise NoArchimedeanElements(
             "membership-function cornets with p < 1 have no Archimedean elements"
         )
-    eps = tuple(sorted((rat(e) for e in epsilons), reverse=True))
-    if any(e <= 0 for e in eps):
-        raise ValueError("epsilons must be positive")
-    ones = w.ones()
-
-    def member_for(e: Fraction) -> StepFuzzy:
-        cut = UpperSet.make(w, Repr.DISCRETE, [vscale(-e, ones)])
-        return chi(cut)
-
-    def witness(a: StepFuzzy) -> StepFuzzy:
-        (g,) = a.levels[0][1].generators
-        cut = UpperSet.make(w, Repr.DISCRETE, [vscale(Fraction(1, 2), g)])
-        return chi(cut)
-
-    return ArchFamily(
-        elements=tuple(member_for(e) for e in eps),
-        witness=witness,
+    return arch_family(
+        w, epsilons, lambda q: chi(phi_embed(w, vneg(q))), lambda f: _family_point(support(f))
     )
 
 
@@ -204,16 +192,17 @@ def fuzzy_closure(f: StepFuzzy) -> StepFuzzy:
 
 
 _LEVEL_POOL = (Fraction(1), Fraction(3, 4), Fraction(1, 2), Fraction(1, 4))
+_MAX_LEVELS = 3  # levels per sampled step function
 
 
 def _sample_fuzzy(
-    w: Wedge, p: Fraction, rp: Repr, rng: random.Random, max_levels: int, force_zero: bool
+    w: Wedge, p: Fraction, rp: Repr, rng: random.Random, force_zero: bool
 ) -> StepFuzzy:
     tops = [a for a in _LEVEL_POOL if a >= p]
     # Nonnegative elements need value 1 at the origin, so force the top level.
     top = Fraction(1) if force_zero else rng.choice(tops)
     lower = [a for a in _LEVEL_POOL if a < top]
-    count = rng.randint(0, min(max_levels - 1, len(lower)))
+    count = rng.randint(0, min(_MAX_LEVELS - 1, len(lower)))
     alphas = [top] + sorted(rng.sample(lower, count), reverse=True)
     levels = []
     gens: list[Vec] = [vzero(w.dim)] if force_zero else []
@@ -231,9 +220,7 @@ def serialize_fuzzy(f: StepFuzzy) -> dict:
     }
 
 
-def make_fuzzy_cornet(
-    w: Wedge, p=1, cut_repr: Repr = Repr.DISCRETE, max_levels: int = 3
-) -> CornetInstance:
+def make_fuzzy_cornet(w: Wedge, p=1, cut_repr: Repr = Repr.DISCRETE) -> CornetInstance:
     """The cornet of step membership functions with supremum at least p,
     under sup-min convolution and pointwise order."""
     p = rat(p)
@@ -262,8 +249,8 @@ def make_fuzzy_cornet(
         add=oplus,
         star=odot,
         leq=leq_fuzzy,
-        sampler=lambda rng: _sample_fuzzy(w, p, cut_repr, rng, max_levels, False),
-        nonneg_sampler=lambda rng: _sample_fuzzy(w, p, cut_repr, rng, max_levels, True),
+        sampler=lambda rng: _sample_fuzzy(w, p, cut_repr, rng, False),
+        nonneg_sampler=lambda rng: _sample_fuzzy(w, p, cut_repr, rng, True),
         finite_inf=(
             finite_inf if (w.is_orthant and cut_repr is Repr.DISCRETE) else None
         ),

@@ -4,7 +4,8 @@ An UpperSet denotes either F + W (DISCRETE) or conv(F) + W (POLYTOPIC) for a
 finite generator list F.  Generators are kept in canonical antichain form so
 that syntactic equality of values is semantic equality of denotations.
 Archimedean and boundedness thresholds reduce to ``wedges.threshold`` on
-pairs of generators, over every wedge.
+pairs of generators, over every wedge; the Archimedean family {-eps . ones} + W
+comes from ``wedges.arch_family``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from .geometry import (
     vsub,
     vzero,
 )
-from .wedges import Wedge, threshold
+from .wedges import Wedge, arch_family, threshold
+
+_MAX_GENS = 5  # the most generators a sampled set has
 
 
 class Repr(Enum):
@@ -296,29 +299,15 @@ def finite_intersection(sets: Sequence[UpperSet]) -> UpperSet:
     return acc
 
 
-def set_arch_family(
-    w: Wedge, epsilons: Sequence, direction: Optional[Vec] = None
-) -> ArchFamily:
-    """The family a_eps = {-eps * interior direction} + W, with the halving
-    witness a_eps -> a_{eps/2}."""
-    eps = tuple(sorted((rat(e) for e in epsilons), reverse=True))
-    if any(e <= 0 for e in eps):
-        raise ValueError("epsilons must be positive")
-    direction = direction if direction is not None else w.ones()
-    if not w.interior_contains(direction):
-        raise ValueError("direction must be strictly interior to the wedge")
+def set_arch_family(w: Wedge, epsilons: Sequence) -> ArchFamily:
+    """The sets {-eps * ones} + W, halved by the witness."""
+    return arch_family(w, epsilons, lambda p: phi_embed(w, vneg(p)), _family_point)
 
-    def member_for(e: Fraction) -> UpperSet:
-        return UpperSet.make(w, Repr.DISCRETE, [vscale(-e, direction)])
 
-    def witness(a: UpperSet) -> UpperSet:
-        (g,) = a.generators
-        return UpperSet.make(w, Repr.DISCRETE, [vscale(Fraction(1, 2), g)])
-
-    return ArchFamily(
-        elements=tuple(member_for(e) for e in eps),
-        witness=witness,
-    )
+def _family_point(a: UpperSet) -> Vec:
+    """The point p of a family member {-p} + W."""
+    (g,) = a.generators
+    return vneg(g)
 
 
 def set_closure(A: UpperSet) -> UpperSet:
@@ -376,19 +365,17 @@ def serialize_set(A: UpperSet) -> dict:
     }
 
 
-def make_set_cornet(
-    w: Wedge, rp: Repr = Repr.DISCRETE, max_gens: int = 5, integer: bool = False
-) -> CornetInstance:
+def make_set_cornet(w: Wedge, rp: Repr = Repr.DISCRETE, integer: bool = False) -> CornetInstance:
     """The cornet of finitely generated W-invariant sets ordered by
-    inclusion, with seeded generator sampling."""
+    inclusion, with seeded sampling of up to ``_MAX_GENS`` generators."""
 
     unit = UpperSet.make(w, rp, [vzero(w.dim)])
 
     def sampler(rng: random.Random) -> UpperSet:
-        return UpperSet.make(w, rp, _sample_gens(w, rng, max_gens, integer))
+        return UpperSet.make(w, rp, _sample_gens(w, rng, _MAX_GENS, integer))
 
     def nonneg_sampler(rng: random.Random) -> UpperSet:
-        gens = _sample_gens(w, rng, max_gens - 1, integer) + [vzero(w.dim)]
+        gens = _sample_gens(w, rng, _MAX_GENS - 1, integer) + [vzero(w.dim)]
         return UpperSet.make(w, rp, gens)
 
     inst = CornetInstance(

@@ -5,7 +5,9 @@ H-representation; ``Wedge`` is the package's one cone type.  It orders the
 ambient rational vector space by x <= y iff y - x lies in W.  With star equal
 to iterated addition this gives the simplest cornet, in which every element
 is n-convex.  ``threshold`` is the one closed form behind every exact
-Archimedean and boundedness decision, for points, sets and fuzzy sets alike.
+Archimedean and boundedness decision, for points, sets and fuzzy sets alike,
+and ``arch_family`` the one builder of their Archimedean families, which
+needs ``ones`` strictly interior to W.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd, lcm
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .core import ArchFamily, CornetInstance
 from .geometry import (
@@ -142,17 +144,31 @@ def threshold(w: Wedge, u: Vec, x: Vec) -> Optional[int]:
     return n0
 
 
-def elem_arch_family(w: Wedge, epsilons: Sequence) -> ArchFamily:
-    """Interior elements eps * ones, with halving witnesses; for the orthant
-    every such element is Archimedean with a closed-form threshold."""
+def arch_family(
+    w: Wedge, epsilons: Sequence, member: Callable[[Vec], Any], point: Callable[[Any], Vec]
+) -> ArchFamily:
+    """The Archimedean family of every built-in cornet: ``member(eps * ones)``
+    for each epsilon, largest first, with the witness that halves the point.
+
+    ``point`` inverts ``member``.  The epsilons must be positive and ``ones``
+    strictly interior to W; otherwise ValueError, since a member on the
+    boundary of W need not be Archimedean.
+    """
     eps = tuple(sorted((rat(e) for e in epsilons), reverse=True))
     if any(e <= 0 for e in eps):
         raise ValueError("epsilons must be positive")
     ones = w.ones()
+    if not w.interior_contains(ones):
+        raise ValueError("direction must be strictly interior to the wedge")
     return ArchFamily(
-        elements=tuple(vscale(e, ones) for e in eps),
-        witness=lambda a: vscale(Fraction(1, 2), a),
+        elements=tuple(member(vscale(e, ones)) for e in eps),
+        witness=lambda a: member(vscale(Fraction(1, 2), point(a))),
     )
+
+
+def elem_arch_family(w: Wedge, epsilons: Sequence) -> ArchFamily:
+    """The points eps * ones, halved by the witness."""
+    return arch_family(w, epsilons, lambda p: p, lambda a: a)
 
 
 def _elem_sampler(w: Wedge, rng: random.Random) -> Vec:

@@ -33,6 +33,32 @@ SETQ_FILE = {
 # A custom pointed wedge, x >= 0 and x + y >= 0, that is not the orthant.
 SKEW_ROWS = [["1", "0"], ["1", "1"]]
 
+# Wedges where ones() is not strictly interior: on the boundary of the first
+# (x >= 0, y >= x), outside the second.
+NON_INTERIOR_WEDGES = [{"rows": [["1", "0"], ["-1", "1"]]}, "zero"]
+FAMILY_NOTE = (
+    "no Archimedean family over this wedge "
+    "(direction must be strictly interior to the wedge); family skipped"
+)
+
+
+def _kind_file(kind: str, wedge) -> dict:
+    """A d=2 instance of ``kind`` with X = (1, 2), Y = (0, 1), Z = (3, 0), as
+    points, as the sets {p} + W, or as their characteristic functions."""
+    points = {"X": ["1", "2"], "Y": ["0", "1"], "Z": ["3", "0"]}
+    if kind == "elemQ":
+        elements = points
+    else:
+        sets = {k: {"repr": "discrete", "generators": [p]} for k, p in points.items()}
+        elements = sets if kind == "setQ" else {
+            k: {"levels": [{"alpha": "1", "set": s}]} for k, s in sets.items()
+        }
+    return {
+        "universe": {"kind": kind, "dim": 2, "wedge": wedge},
+        "elements": elements,
+        "family": {"epsilons": ["1", "1/2"]},
+    }
+
 
 @pytest.fixture
 def setq_path(tmp_path):
@@ -194,6 +220,23 @@ class TestExitCodes:
         assert main(argv) == EXIT_INPUT
         assert "input error: --m: must be >= 2, got 1" in capsys.readouterr().err
 
+    def test_cancel_m_above_twelve_rejected(self, setq_path, capsys):
+        argv = ["cancel", setq_path, "--x", "A", "--y", "Y", "--z", "Z", "--m"]
+        assert main([*argv, "13"]) == EXIT_INPUT
+        assert "input error: --m: must be <= 12, got 13" in capsys.readouterr().err
+        assert main([*argv, "12"]) == EXIT_PASS
+
+    @pytest.mark.parametrize("wedge", NON_INTERIOR_WEDGES, ids=["boundary", "zero"])
+    @pytest.mark.parametrize("kind", ["elemQ", "setQ", "fuzzyQ"])
+    def test_non_interior_wedge_skips_family_for_every_kind(self, tmp_path, capsys, kind, wedge):
+        path = _write(tmp_path, _kind_file(kind, wedge))
+        main(["laws", path, "--cases", "2", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["notes"] == [FAMILY_NOTE]
+        assert len(report["laws"]) == 16
+        assert main(["cancel", path, "--x", "X", "--y", "Y", "--z", "Z"]) == EXIT_INPUT
+        assert f"input error: {FAMILY_NOTE}" in capsys.readouterr().err
+
     def test_mutated_universe_fails(self, tmp_path, capsys):
         path = _write(tmp_path, MUTATED_SETZ_FILE)
         assert main(["laws", path, "--cases", "25", "--max-n", "4"]) == EXIT_VIOLATION
@@ -259,6 +302,12 @@ class TestInspect:
         report = json.loads(capsys.readouterr().out)
         assert report["target"] == "setQ"
         assert report["result"]["generators"] == [["1", "1/2"]]
+
+    def test_convex_above_twelve_rejected(self, setq_path, capsys):
+        argv = ["inspect", setq_path, "--element", "A", "--op"]
+        assert main([*argv, "convex:13"]) == EXIT_INPUT
+        assert "input error: --op: must be <= 12, got 13" in capsys.readouterr().err
+        assert main([*argv, "convex:12"]) == EXIT_PASS
 
     def test_inapplicable_op(self, setq_path):
         assert main(["inspect", setq_path, "--element", "A", "--op", "support"]) == EXIT_INPUT
