@@ -398,8 +398,10 @@ def check_A_continuity(inst: CornetInstance, fam: ArchFamily, n_max: int = 6) ->
         else:
             if not inst.leq(inst.dot(pow2, ak), a):
                 report.record(("2^k . a_k <= a fails", k, inst.serialize(a)))
+            n_ak = inst.zero  # n . a_k, one addition per n
             for n in range(1, n_max + 1):
-                if not inst.leq(inst.dot(n, ak), a):
+                n_ak = inst.add(n_ak, ak)
+                if not inst.leq(n_ak, a):
                     report.record(("n . a_k <= a fails", n, inst.serialize(a)))
                 if not inst.leq(inst.star(n, ak), a):
                     report.record(("n * a_k <= a fails", n, inst.serialize(a)))
@@ -416,12 +418,14 @@ def verify_closure(
     """Check y <= x+a for every family member, and maximality of y against a
     finite challenge set.  Maximality beyond the challenges is not claimed."""
     details = {"maximality": "finite-challenge-set", "challenges": len(challenge_set)}
+    sums = []
     for a in fam.elements:
-        if not inst.leq(y_candidate, inst.add(x, a)):
+        sums.append(inst.add(x, a))
+        if not inst.leq(y_candidate, sums[-1]):
             details["failing_member"] = inst.serialize(a)
             return VerdictRecord(Verdict.REFUTED_AT_HORIZON, details)
     for z in challenge_set:
-        if all(inst.leq(z, inst.add(x, a)) for a in fam.elements):
+        if all(inst.leq(z, s) for s in sums):
             if not inst.leq(z, y_candidate):
                 details["failing_challenge"] = inst.serialize(z)
                 return VerdictRecord(Verdict.REFUTED_AT_HORIZON, details)
@@ -558,9 +562,10 @@ def cancellation_check(
     conclusion = inst.leq(x, y)
     chain = []
     if replay or not conclusion:
+        nxz, nyz = z, z  # running sums n.x + z and n.y + z
         for n in range(1, h.n_max + 1):
-            ok = inst.leq(inst.add(inst.dot(n, x), z), inst.add(inst.dot(n, y), z))
-            chain.append((f"n.x+z <= n.y+z @ n={n}", ok))
+            nxz, nyz = inst.add(nxz, x), inst.add(nyz, y)
+            chain.append((f"n.x+z <= n.y+z @ n={n}", inst.leq(nxz, nyz)))
         mk = m
         while mk <= h.n_max:
             ok = inst.leq(inst.add(inst.star(mk, x), z), inst.add(inst.star(mk, y), z))

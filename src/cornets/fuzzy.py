@@ -75,11 +75,10 @@ class StepFuzzy:
         return StepFuzzy(wedge, p, tuple(canon))
 
     def value(self, x: Vec) -> Fraction:
-        best = Fraction(0)
         for a, cut in self.levels:
             if cut.member(x):
                 return a  # levels descend, first hit is the max
-        return best
+        return Fraction(0)
 
     @property
     def top(self) -> Fraction:

@@ -1,8 +1,11 @@
 """Finitely generated W-invariant upper sets and their cornet.
 
 An UpperSet denotes either F + W (DISCRETE) or conv(F) + W (POLYTOPIC) for a
-finite generator list F.  Generators are kept in canonical antichain form so
-that syntactic equality of values is semantic equality of denotations.
+finite generator list F.  Generators are kept in canonical form, so that
+syntactic equality of values is semantic equality of denotations: one
+dominance step drops every g in h + W for another generator h, which leaves
+the antichain of minimal generators, and polytopic sets then prune the
+survivors to the vertices of conv(F) + W.
 Archimedean and boundedness thresholds reduce to ``wedges.threshold`` on
 pairs of generators, over every wedge; the Archimedean family {-eps . ones} + W
 comes from ``wedges.arch_family``.
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .core import ArchFamily, CornetInstance
@@ -82,63 +86,43 @@ def polytopic(wedge: Wedge, generators: Iterable[Iterable]) -> UpperSet:
 
 
 def _canonicalize(w: Wedge, rp: Repr, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
+    """Dominance, then hull pruning.  A generator g in h + W for another
+    generator h is redundant in either representation; over a pointed W the
+    polytopic survivors then lose those inside the hull of the others, which
+    leaves the vertices of conv(F) + W."""
     gens = tuple(sorted(set(gens)))
-    if rp is Repr.DISCRETE:
-        if w.is_zero:
-            return gens  # no dominations beyond exact duplicates
-        if w.is_orthant:
-            kept = [
-                g
-                for g in gens
-                if not any(
-                    h != g and all(hc <= gc for hc, gc in zip(h, g)) for h in gens
-                )
-            ]
-            return tuple(kept)
-        kept = [
+    if w.is_orthant:
+        gens = tuple(
             g
             for g in gens
-            if not any(h != g and w.contains(vsub(g, h)) for h in gens)
-        ]
-        return tuple(kept)
-    # POLYTOPIC: drop generators inside the hull of the others.
+            if not any(h != g and all(hc <= gc for hc, gc in zip(h, g)) for h in gens)
+        )
+    elif not w.is_zero:  # the zero wedge dominates nothing beyond duplicates
+        gens = tuple(
+            g for g in gens if not any(h != g and w.contains(vsub(g, h)) for h in gens)
+        )
+    # Hull pruning of the polytopic survivors; any two of them are vertices.
+    if rp is Repr.DISCRETE or len(gens) < 3:
+        return gens
     if w.dim == 1:
-        return _canon_poly_1d(w, gens)
+        return (gens[0], gens[-1])  # only the zero wedge leaves several
     if w.is_orthant and w.dim == 2:
         return _pareto_lower_hull(gens)
     # One pass suffices: dropping a redundant point leaves conv(F) + W as it
     # was, and a point irredundant against a set stays so against any subset.
     kept = list(gens)
     for g in gens:
-        if len(kept) > 1 and _poly_member_lp(w, [h for h in kept if h != g], g):
+        if _poly_member_lp(w, [h for h in kept if h != g], g):
             kept.remove(g)
     return tuple(kept)
 
 
-def _canon_poly_1d(w: Wedge, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    lo = min(gens)
-    hi = max(gens)
-    up = w.contains((Fraction(1),))
-    down = w.contains((Fraction(-1),))
-    if up and not down:
-        return (lo,)
-    if down and not up:
-        return (hi,)
-    return (lo,) if lo == hi else (lo, hi)
-
-
-def _pareto_lower_hull(points: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Vertices of conv(points) + R^2_{>=0}: the Pareto-minimal points that
-    sit strictly below every chord; a monotone-chain lower hull."""
-    pts = sorted(set(points))
-    minimal = [
-        p
-        for p in pts
-        if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)
-    ]
-    minimal.sort()  # x ascending; y strictly descending on an antichain
+def _pareto_lower_hull(antichain: Sequence[Vec]) -> tuple[Vec, ...]:
+    """Vertices of conv(antichain) + R^2_{>=0} for a sorted antichain (x
+    ascending, so y strictly descending): the points strictly below every
+    chord, by a monotone-chain lower hull."""
     hull: list[Vec] = []
-    for p in minimal:
+    for p in antichain:
         while len(hull) >= 2:
             o, a = hull[-2], hull[-1]
             cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
@@ -168,7 +152,7 @@ def _poly_member_lp(w: Wedge, gens: Sequence[Vec], p: Vec) -> bool:
 
 def _member(A: UpperSet, p: Vec) -> bool:
     w = A.wedge
-    if A.repr is Repr.DISCRETE:
+    if A.repr is Repr.DISCRETE or len(A.generators) == 1:
         if w.is_zero:
             return p in A.generators
         if w.is_orthant:
@@ -177,8 +161,6 @@ def _member(A: UpperSet, p: Vec) -> bool:
             )
         return any(w.contains(vsub(p, g)) for g in A.generators)
     if w.dim == 1:
-        if len(A.generators) == 1:
-            return w.contains(vsub(p, A.generators[0]))
         lo, hi = A.generators  # canonical interval over the zero wedge
         return lo[0] <= p[0] <= hi[0]
     if w.is_orthant and w.dim == 2:
@@ -267,8 +249,6 @@ def is_n_convex_set(A: UpperSet, n: int, multiset_cap: int = 512) -> bool:
     if n == 1 or A.repr is Repr.POLYTOPIC:
         return True
     k = len(A.generators)
-    from math import comb
-
     if comb(k + n - 1, n) > multiset_cap:
         raise MultisetCapExceeded(
             f"{comb(k + n - 1, n)} multisets exceed cap {multiset_cap}; lower n or generators"

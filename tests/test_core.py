@@ -32,6 +32,7 @@ from cornets.core import (
     subcornet_closure_suite,
     verify_closure,
 )
+from cornets.fuzzy import fuzzy_arch_family, make_fuzzy_cornet
 from cornets.sets import (
     Repr,
     discrete,
@@ -208,6 +209,45 @@ class TestCancellation:
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
             cancellation_check(SETQ, SETQ.zero, SETQ.zero, SETQ.zero, 1, self.FAM, Horizon(12))
+
+    @pytest.mark.parametrize(
+        "inst, fam",
+        [
+            (make_set_cornet(Wedge.orthant(2), Repr.POLYTOPIC), FAM),
+            (
+                make_fuzzy_cornet(Wedge.orthant(1), 1, Repr.POLYTOPIC),
+                fuzzy_arch_family(Wedge.orthant(1), [F(1), F(1, 2)]),
+            ),
+        ],
+        ids=["setQ", "fuzzyQ"],
+    )
+    def test_replay_chain_matches_rebuilt_chain(self, inst, fam):
+        # Premise-true triples: with convex cuts and N nonnegative, x lies
+        # below y = x + N, so every hypothesis holds and the chain is replayed.
+        h = Horizon(8)
+        for i in range(12):
+            rng = case_rng(7, i)
+            x, z = inst.sampler(rng), inst.sampler(rng)
+            y = inst.add(x, inst.nonneg_sampler(rng))
+            rec = cancellation_check(inst, x, y, z, 2, fam, h, replay=True)
+            assert rec.status == "Verified"
+            assert rec.chain == _ref_chain(inst, x, y, z, 2, h)
+
+
+def _ref_chain(inst, x, y, z, m, h):
+    """Reference: the replayed proof chain with n.x and n.y rebuilt by the
+    dot action for every n, which the running sums in cancellation_check
+    replaced."""
+    chain = []
+    for n in range(1, h.n_max + 1):
+        ok = inst.leq(inst.add(inst.dot(n, x), z), inst.add(inst.dot(n, y), z))
+        chain.append((f"n.x+z <= n.y+z @ n={n}", ok))
+    mk = m
+    while mk <= h.n_max:
+        ok = inst.leq(inst.add(inst.star(mk, x), z), inst.add(inst.star(mk, y), z))
+        chain.append((f"m^k*x+z <= m^k*y+z @ {mk}", ok))
+        mk *= m
+    return chain
 
 
 def _ref_hunt(inst, universe, ablate="none", m_cap=4, convexity_test=None):

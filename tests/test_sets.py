@@ -115,13 +115,19 @@ def _ref_bounded_exact_set(x, a):
     return n0
 
 
-# Wedges on which polytopic canonicalisation takes the general LP scan.
+# One wedge for each branch of polytopic canonicalisation, checked against
+# the LP scan: the orthant, zero and general dominance steps, followed by the
+# 1-d ends, the 2-d orthant chain or the one-pass LP scan.
 SCAN_WEDGES = [
     Wedge.orthant(3),
     Wedge.zero(2),
     Wedge.zero(3),
     Wedge.from_rows([[1, 0], [-1, 1]]),
     Wedge.from_rows([[1, 0, 0], [-1, 1, 0], [0, 0, 1], [1, 1, -1]]),
+    Wedge.orthant(1),
+    Wedge.from_rows([[-1]]),
+    Wedge.zero(1),
+    Wedge.orthant(2),
 ]
 
 
@@ -192,6 +198,24 @@ class TestMembership:
             A = polytopic(W2, _rand_gens(rng, 2, 4, lo=-4, hi=4))
             for p in rng.sample(grid, 15):
                 assert A.member(p) == _poly_member_lp(W2, A.generators, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_membership_fast_paths_match_lp(self, data):
+        # A one-generator polytopic set takes the discrete branches, and a
+        # zero-wedge 1-d interval the interval test; both must agree with
+        # the LP on the same generators.
+        w = data.draw(st.sampled_from(SCAN_WEDGES))
+        coord = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+        point = st.tuples(*[coord] * w.dim)
+        g = data.draw(point)
+        p = data.draw(st.one_of(st.just(g), point))
+        single = polytopic(w, [g])
+        assert single.member(p) == discrete(w, [g]).member(p) == _poly_member_lp(w, [g], p)
+        gens = data.draw(st.lists(st.tuples(coord), min_size=2, max_size=5))
+        interval = polytopic(WZ, gens)
+        q = data.draw(st.tuples(coord))
+        assert interval.member(q) == _poly_member_lp(WZ, interval.generators, q)
 
     def test_zero_wedge_membership_is_exact_hit(self):
         A = discrete(WZ, [(0,), (2,)])
