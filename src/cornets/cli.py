@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -166,7 +167,6 @@ class Loaded:
     family: Optional[ArchFamily]
     family_note: Optional[str]
     options: dict
-    p: Fraction
 
 
 def _parse_element(kind: str, raw, w: Wedge, p: Fraction, location: str):
@@ -278,7 +278,7 @@ def load_instance(path: str) -> Loaded:
     except ValueError as e:
         family_note = f"no Archimedean family over this wedge ({e}); family skipped"
 
-    return Loaded(kind, w, inst, elements, family, family_note, options, p)
+    return Loaded(kind, w, inst, elements, family, family_note, options)
 
 
 # --- Reports -----------------------------------------------------------------
@@ -501,6 +501,7 @@ def cmd_inspect(args) -> int:
 # --- Entry point -------------------------------------------------------------
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cornets",
@@ -522,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; has no effect (cases run in one process)",
     )
     common(p)
-    p.set_defaults(fn=cmd_laws)
 
     p = sub.add_parser("cancel", help="verify a cancellation-theorem instance")
     p.add_argument("file")
@@ -532,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--horizon", type=int)
     common(p)
-    p.set_defaults(fn=cmd_cancel)
 
     p = sub.add_parser("hunt", help="search a finite integer universe for cancellation failures")
     p.add_argument("--universe", choices=("z1", "z1-intervals"), default="z1")
@@ -543,23 +542,23 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
     )
     common(p)
-    p.set_defaults(fn=cmd_hunt)
 
     p = sub.add_parser("inspect", help="apply a structural operation to a named element")
     p.add_argument("file")
     p.add_argument("--element", required=True)
     p.add_argument("--op", required=True)
     common(p)
-    p.set_defaults(fn=cmd_inspect)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # The handler is looked up at call time, not stored in the cached parser,
+    # so a rebinding of cmd_<command> (such as a tracer's) takes effect.
+    fn = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return fn(args)
     except CliError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT

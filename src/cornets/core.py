@@ -520,7 +520,7 @@ def subcornet_closure_suite(
 
 @dataclass
 class CancellationRecord:
-    status: str  # "Verified" | "HypothesisNotMet" | "ConclusionFailed"
+    status: str  # "Verified" | "HypothesisNotMet" | "PremiseNotMet" | "ConclusionFailed"
     hypotheses: dict
     premise: Optional[bool] = None
     conclusion: Optional[bool] = None

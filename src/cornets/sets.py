@@ -6,6 +6,9 @@ syntactic equality of values is semantic equality of denotations: one
 dominance step drops every g in h + W for another generator h, which leaves
 the antichain of minimal generators, and polytopic sets then prune the
 survivors to the vertices of conv(F) + W.
+Dominance and discrete membership ask ``Wedge.leq``, which takes the orthant
+shortcut itself; only the zero wedge, whose order is equality, is handled
+here (no dominance step, and membership is a lookup among the generators).
 Archimedean and boundedness thresholds reduce to ``wedges.threshold`` on
 pairs of generators, over every wedge; the Archimedean family {-eps . ones} + W
 comes from ``wedges.arch_family``.
@@ -32,7 +35,6 @@ from .geometry import (
     vdot,
     vneg,
     vscale,
-    vsub,
     vzero,
 )
 from .wedges import Wedge, arch_family, threshold
@@ -91,16 +93,10 @@ def _canonicalize(w: Wedge, rp: Repr, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
     polytopic survivors then lose those inside the hull of the others, which
     leaves the vertices of conv(F) + W."""
     gens = tuple(sorted(set(gens)))
-    if w.is_orthant:
-        gens = tuple(
-            g
-            for g in gens
-            if not any(h != g and all(hc <= gc for hc, gc in zip(h, g)) for h in gens)
-        )
-    elif not w.is_zero:  # the zero wedge dominates nothing beyond duplicates
-        gens = tuple(
-            g for g in gens if not any(h != g and w.contains(vsub(g, h)) for h in gens)
-        )
+    # Over the zero wedge h <= g only for h == g, and set() has already
+    # dropped duplicates, so the step would keep every generator.
+    if not w.is_zero:
+        gens = tuple(g for g in gens if not any(h != g and w.leq(h, g) for h in gens))
     # Hull pruning of the polytopic survivors; any two of them are vertices.
     if rp is Repr.DISCRETE or len(gens) < 3:
         return gens
@@ -153,13 +149,11 @@ def _poly_member_lp(w: Wedge, gens: Sequence[Vec], p: Vec) -> bool:
 def _member(A: UpperSet, p: Vec) -> bool:
     w = A.wedge
     if A.repr is Repr.DISCRETE or len(A.generators) == 1:
+        # Over the zero wedge g <= p only for g == p, and a tuple lookup is
+        # cheaper than the wedge test (the comparisons that dominate `hunt`).
         if w.is_zero:
             return p in A.generators
-        if w.is_orthant:
-            return any(
-                all(pc >= gc for pc, gc in zip(p, g)) for g in A.generators
-            )
-        return any(w.contains(vsub(p, g)) for g in A.generators)
+        return any(w.leq(g, p) for g in A.generators)
     if w.dim == 1:
         lo, hi = A.generators  # canonical interval over the zero wedge
         return lo[0] <= p[0] <= hi[0]
@@ -194,10 +188,13 @@ def msum(A: UpperSet, B: UpperSet) -> UpperSet:
 
 
 def star_set(n: int, A: UpperSet) -> UpperSet:
-    """n*A = {n.a + w}; over a divisible wedge this is n.F + W exactly."""
+    """n*A = {n.a + w}; over a divisible wedge this is n.F + W exactly.
+
+    Scaling by n >= 1 keeps the canonical form (the sort order, dominance
+    and the hull vertices all survive it), so the generators skip ``make``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return UpperSet.make(A.wedge, A.repr, [vscale(n, g) for g in A.generators])
+    return UpperSet(A.wedge, A.repr, tuple(vscale(n, g) for g in A.generators))
 
 
 def subset(A: UpperSet, B: UpperSet) -> bool:

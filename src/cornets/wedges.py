@@ -105,7 +105,10 @@ class Wedge:
         return all(vdot(m, x) > 0 for m in self.rows)
 
     def leq(self, x: Vec, y: Vec) -> bool:
-        """x <= y in the wedge order iff y lands in x + W."""
+        """x <= y in the wedge order iff y lands in x + W; over the orthant,
+        coordinatewise."""
+        if self.is_orthant and len(x) == len(y) == self.dim:
+            return all(xc <= yc for xc, yc in zip(x, y))
         return self.contains(vsub(y, x))
 
     @staticmethod

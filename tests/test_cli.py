@@ -2,6 +2,10 @@
 byte-determinism of machine reports (including across ``--jobs`` values)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +14,12 @@ from cornets.cli import (
     EXIT_PASS,
     EXIT_VIOLATION,
     CliError,
+    build_parser,
     load_instance,
     main,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MUTATED_SETZ_FILE = {
     "universe": {"kind": "setZ", "dim": 1, "wedge": "zero"},
@@ -350,3 +357,21 @@ class TestDeterminism:
             outputs.append(capsys.readouterr().out)
         assert all(out == outputs[0] for out in outputs)
         assert json.loads(outputs[0])["hypotheses"]["z-bounded"] == "analytically-verified"
+
+    def test_one_parser_serves_every_command(self, setq_path, capsys):
+        # main reuses one parser per process; two commands in a row must
+        # print what each prints in a process of its own.
+        argvs = (
+            ["cancel", setq_path, "--x", "A", "--y", "Y", "--z", "Z", "--format", "json"],
+            ["hunt", "--range", "0..2", "--format", "json"],
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        for argv in argvs:
+            code = main(argv)
+            proc = subprocess.run(
+                [sys.executable, "-m", "cornets.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert (code, capsys.readouterr().out) == (proc.returncode, proc.stdout)
+        assert build_parser() is build_parser()

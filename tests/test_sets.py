@@ -19,7 +19,7 @@ from cornets.core import (
     is_A_bounded,
     is_archimedean,
 )
-from cornets.geometry import rational_grid, vadd, vscale
+from cornets.geometry import rational_grid, vadd, vscale, vsub
 from cornets.sets import (
     MultisetCapExceeded,
     Repr,
@@ -29,6 +29,7 @@ from cornets.sets import (
     _arch_exact_set,
     _bounded_exact_set,
     _canonicalize,
+    _member,
     _poly_member_lp,
     convex_hull,
     discrete,
@@ -115,6 +116,33 @@ def _ref_bounded_exact_set(x, a):
     return n0
 
 
+def _ref_dominance(w, gens):
+    """Reference: the orthant and general dominance branches that
+    _canonicalize had before it asked Wedge.leq."""
+    gens = tuple(sorted(set(gens)))
+    if w.is_orthant:
+        return tuple(
+            g
+            for g in gens
+            if not any(h != g and all(hc <= gc for hc, gc in zip(h, g)) for h in gens)
+        )
+    if w.is_zero:
+        return gens
+    return tuple(
+        g for g in gens if not any(h != g and w.contains(vsub(g, h)) for h in gens)
+    )
+
+
+def _ref_member(w, gens, p):
+    """Reference: the orthant and general discrete membership branches that
+    _member had before it asked Wedge.leq."""
+    if w.is_zero:
+        return p in gens
+    if w.is_orthant:
+        return any(all(pc >= gc for pc, gc in zip(p, g)) for g in gens)
+    return any(w.contains(vsub(p, g)) for g in gens)
+
+
 # One wedge for each branch of polytopic canonicalisation, checked against
 # the LP scan: the orthant, zero and general dominance steps, followed by the
 # 1-d ends, the 2-d orthant chain or the one-pass LP scan.
@@ -141,6 +169,20 @@ class TestCanonicalization:
             st.lists(st.tuples(*[coord] * w.dim), min_size=1, max_size=6)
         )
         assert _canonicalize(w, Repr.POLYTOPIC, tuple(gens)) == _restart_scan(w, gens)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_dominance_matches_reference(self, data):
+        # Discrete canonicalisation is the dominance step alone, and polytopic
+        # canonicalisation the LP scan of what the dominance step leaves.
+        w = data.draw(st.sampled_from(SCAN_WEDGES))
+        coord = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+        gens = data.draw(
+            st.lists(st.tuples(*[coord] * w.dim), min_size=1, max_size=6)
+        )
+        ref = _ref_dominance(w, gens)
+        assert _canonicalize(w, Repr.DISCRETE, tuple(gens)) == ref
+        assert _canonicalize(w, Repr.POLYTOPIC, tuple(gens)) == _restart_scan(w, ref)
 
     def test_discrete_antichain(self):
         A = discrete(W2, [(0, 0), (1, 1), (0, 3)])
@@ -216,6 +258,16 @@ class TestMembership:
         interval = polytopic(WZ, gens)
         q = data.draw(st.tuples(coord))
         assert interval.member(q) == _poly_member_lp(WZ, interval.generators, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_discrete_membership_matches_reference(self, data):
+        w = data.draw(st.sampled_from(SCAN_WEDGES))
+        coord = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+        point = st.tuples(*[coord] * w.dim)
+        A = discrete(w, data.draw(st.lists(point, min_size=1, max_size=5)))
+        p = data.draw(st.one_of(st.sampled_from(A.generators), point))
+        assert _member(A, p) == _ref_member(w, A.generators, p)
 
     def test_zero_wedge_membership_is_exact_hit(self):
         A = discrete(WZ, [(0,), (2,)])
@@ -300,6 +352,19 @@ class TestStarAndConvexity:
         A = discrete(W2, [(0, 1), (1, 0)])
         assert star_set(2, A).generators == ((F(0), F(2)), (F(2), F(0)))
         assert star_set(1, A) == A
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_star_keeps_canonical_form(self, data):
+        # star_set skips canonicalisation; the scaled generators must be
+        # what UpperSet.make would have made of them.
+        w = data.draw(st.sampled_from(SCAN_WEDGES))
+        rp = data.draw(st.sampled_from(list(Repr)))
+        coord = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+        gens = data.draw(st.lists(st.tuples(*[coord] * w.dim), min_size=1, max_size=6))
+        A = UpperSet.make(w, rp, gens)
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        assert star_set(n, A) == UpperSet.make(w, rp, [vscale(n, g) for g in A.generators])
 
     def test_star_definition_on_samples(self):
         # n*A contains exactly the points n.a + w for a in A, w in W.

@@ -17,7 +17,7 @@ from cornets.core import (
     check_lemma_identities,
     is_archimedean,
 )
-from cornets.geometry import vadd, vdot, vneg, vscale
+from cornets.geometry import DimensionMismatch, vadd, vdot, vneg, vscale, vsub
 from cornets.wedges import (
     NotPointedError,
     Wedge,
@@ -122,13 +122,23 @@ class TestWedgeConstruction:
 
 
 class TestWedgeOrder:
-    W = Wedge.orthant(2)
-
-    @given(vec2, vec2)
-    def test_order_iff_difference_in_wedge(self, x, y):
-        assert self.W.leq(x, y) == self.W.contains(
-            (y[0] - x[0], y[1] - x[1])
+    @given(st.data())
+    def test_order_iff_difference_in_wedge(self, data):
+        # The orthant wedges take the coordinatewise shortcut in leq.
+        w = data.draw(
+            st.sampled_from(THRESHOLD_WEDGES + [Wedge.orthant(1), Wedge.orthant(3)])
         )
+        point = st.tuples(*[rationals] * w.dim)
+        x = data.draw(point)
+        y = data.draw(st.one_of(st.just(x), point))
+        assert w.leq(x, y) == w.contains(vsub(y, x))
+
+    def test_orthant_order_rejects_other_dimensions(self):
+        w = Wedge.orthant(2)
+        with pytest.raises(DimensionMismatch):
+            w.leq((F(0), F(0), F(0)), (F(1), F(1), F(1)))
+        with pytest.raises(DimensionMismatch):
+            w.leq((F(0), F(0)), (F(1), F(1), F(1)))
 
     @given(vec2)
     def test_zero_wedge_order_is_equality(self, x):
