@@ -64,6 +64,11 @@ EXIT_INPUT = 2
 # every n the CLI takes (--max-n, n_max, --m, --op convex:<n>) is refused
 # above 12.
 N_MAX_LIMIT = 12
+# The hunt's scan is cubic in the universe: on a 2-vCPU Xeon, z1 over 0..6
+# (127 sets) takes 2.5 s, and each further integer multiplies that by about
+# 6; z1-intervals over 0..14 (120 sets) takes 12.9 s.  So a larger universe
+# is refused before it is built.
+HUNT_SETS_LIMIT = 127
 
 
 class CliError(Exception):
@@ -262,6 +267,8 @@ def load_instance(path: str) -> Loaded:
 
     fam_spec = data.get("family", {"epsilons": ["1", "1/2"]})
     _require_keys(fam_spec, {"epsilons"}, {"epsilons"}, "$.family")
+    if not isinstance(fam_spec["epsilons"], list) or not fam_spec["epsilons"]:
+        raise CliError("epsilons must be a nonempty list", "$.family.epsilons")
     epsilons = [_parse_rat(e, "$.family.epsilons") for e in fam_spec["epsilons"]]
     if any(e <= 0 for e in epsilons):
         raise CliError("epsilons must be positive", "$.family.epsilons")
@@ -342,7 +349,7 @@ def cmd_laws(args) -> int:
     if loaded.family is not None:
         probes = tuple(inst.sampler(case_rng(seed, 2**30 + k)) for k in range(2))
         h = Horizon(horizon, probes)
-        laws += subcornet_closure_suite(inst, loaded.family, seed, min(cases, 50), h)
+        laws += subcornet_closure_suite(inst, loaded.family, h, seed, min(cases, 50))
     else:
         notes.append(loaded.family_note)
 
@@ -421,12 +428,22 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def cmd_hunt(args) -> int:
     lo, hi = _parse_range(args.range)
+    width = hi - lo + 1
+    # All 2^width - 1 nonempty subsets, or the width(width+1)/2 intervals;
+    # the power is capped so that a huge range costs no huge integer.
     if args.universe == "z1":
-        universe = enumerate_z_subsets(hi, lo=lo)
+        size, build = 2 ** min(width, 64) - 1, enumerate_z_subsets
     elif args.universe == "z1-intervals":
-        universe = interval_z_subsets(hi, lo=lo)
+        size, build = width * (width + 1) // 2, interval_z_subsets
     else:
         raise CliError(f"unknown universe {args.universe!r}")
+    if size > HUNT_SETS_LIMIT:
+        raise CliError(
+            f"the {args.universe} universe over {lo}..{hi} has more than "
+            f"{HUNT_SETS_LIMIT} sets; narrow the range",
+            "--range",
+        )
+    universe = build(hi, lo=lo)
     inst = make_set_cornet(Wedge.zero(1), Repr.DISCRETE, integer=True)
     found = ablation_hunt(inst, universe, args.ablate, convexity_test=order_convex_z)
     report = {

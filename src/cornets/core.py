@@ -232,7 +232,6 @@ def check_cornet_laws(
             if not eq(sxy[n], add(sx[n], sy[n])):
                 reports["star-ii-distributivity"].record((n,) + ser(x, y))
             if p is not None:
-                b = add(x, p)
                 if not leq(sx[n], star(n, b)):
                     reports["star-iv-forward"].record((n,) + ser(x, b))
             if leq(sx[n], sy[n]) and not leq(x, y):
@@ -435,13 +434,14 @@ def verify_closure(
 def closure_props_suite(
     inst: CornetInstance,
     fam: ArchFamily,
+    h: Horizon,
     seed: int = 0,
     cases: int = 50,
     n_max: int = 6,
-    h: Optional[Horizon] = None,
 ) -> list[LawReport]:
     """The closure-operator property suite (extensivity through convexity
-    preservation) on sampled elements; requires inst.closure."""
+    preservation) on sampled elements; requires inst.closure.  Boundedness
+    (closure-viii) is probed at horizon ``h``."""
     if inst.closure is None:
         raise ValueError(f"instance {inst.name} exposes no closure map")
     cl = inst.closure
@@ -478,9 +478,8 @@ def closure_props_suite(
             reports["closure-vi-dot"].record((n, inst.serialize(x)))
         if not inst.eq(cl(inst.star(n, cx)), cl(inst.star(n, x))):
             reports["closure-vii-star"].record((n, inst.serialize(x)))
-        if h is not None:
-            if is_A_bounded(inst, x, fam, h).holds and not is_A_bounded(inst, cx, fam, h).holds:
-                reports["closure-viii-bounded"].record(inst.serialize(x))
+        if is_A_bounded(inst, x, fam, h).holds and not is_A_bounded(inst, cx, fam, h).holds:
+            reports["closure-viii-bounded"].record(inst.serialize(x))
         if is_n_convex(inst, x, n) and not is_n_convex(inst, cx, n):
             reports["closure-ix-convex"].record((n, inst.serialize(x)))
     return [reports[n] for n in names]
@@ -489,14 +488,14 @@ def closure_props_suite(
 def subcornet_closure_suite(
     inst: CornetInstance,
     fam: ArchFamily,
+    h: Horizon,
     seed: int = 0,
     cases: int = 50,
-    h: Optional[Horizon] = None,
 ) -> list[LawReport]:
     """Archimedean + nonnegative stays Archimedean; bounded elements are
-    closed under + and m* (at an enlarged horizon, matching the max(k0, m0)
-    argument)."""
-    h = h or Horizon()
+    closed under + and m* (at ``h``, and their sums and stars at twice its
+    n_max, matching the max(k0, m0) argument).  The probes of ``h`` must be
+    nonempty."""
     arch_report = LawReport("archimedean-absorbs-nonnegative", cases)
     bound_report = LawReport("bounded-subcornet", cases)
     big_h = Horizon(2 * h.n_max, h.probes)

@@ -3,8 +3,10 @@
 Vectors are plain tuples of ``fractions.Fraction``, which keeps them
 hashable, sortable and trivially immutable.  ``lp_feasible`` decides a
 system of affine inequalities with a phase-1 simplex that pivots on integers
-and returns an exact rational witness.  No floating point is used anywhere,
-so all comparisons and memberships are exact decisions.
+and returns an exact rational witness.  It is the package's one exact linear
+solver: polytopic membership and hull pruning ask it, and so does
+``wedges.Wedge`` when it checks that a cone is pointed.  No floating point is
+used anywhere, so all comparisons and memberships are exact decisions.
 """
 
 from __future__ import annotations
@@ -83,39 +85,6 @@ def join_orthant(u: Vec, v: Vec) -> Vec:
     """Coordinatewise maximum (the staircase join used in orthant mode)."""
     _check_dims(u, v)
     return tuple(max(a, b) for a, b in zip(u, v))
-
-
-def _kernel_vector(rows: Sequence[Vec], dim: int) -> Optional[Vec]:
-    """A nonzero vector x with m . x == 0 for all rows, or None."""
-    # Gaussian elimination over Q; the kernel of the row matrix.
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(dim):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pv = mat[r][col]
-        mat[r] = [a / pv for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(dim) if c not in pivots]
-    if not free:
-        return None
-    # Basis vector for the first free column.
-    fc = free[0]
-    x = [Fraction(0)] * dim
-    x[fc] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        x[pc] = -mat[i][fc]
-    return tuple(x)
 
 
 # --- Linear feasibility -----------------------------------------------------

@@ -100,8 +100,6 @@ def _canonicalize(w: Wedge, rp: Repr, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
     # Hull pruning of the polytopic survivors; any two of them are vertices.
     if rp is Repr.DISCRETE or len(gens) < 3:
         return gens
-    if w.dim == 1:
-        return (gens[0], gens[-1])  # only the zero wedge leaves several
     if w.is_orthant and w.dim == 2:
         return _pareto_lower_hull(gens)
     # One pass suffices: dropping a redundant point leaves conv(F) + W as it
@@ -154,9 +152,6 @@ def _member(A: UpperSet, p: Vec) -> bool:
         if w.is_zero:
             return p in A.generators
         return any(w.leq(g, p) for g in A.generators)
-    if w.dim == 1:
-        lo, hi = A.generators  # canonical interval over the zero wedge
-        return lo[0] <= p[0] <= hi[0]
     if w.is_orthant and w.dim == 2:
         return _member_chain(A.generators, p)
     return _poly_member_lp(w, A.generators, p)

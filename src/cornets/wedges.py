@@ -1,7 +1,9 @@
 """Wedges over Q^d and the element cornet they induce.
 
 A wedge is a pointed polyhedral cone W, held as the rows of its
-H-representation; ``Wedge`` is the package's one cone type.  It orders the
+H-representation; ``Wedge`` is the package's one cone type, and it asks
+``geometry.lp_feasible`` for a line in W to reject a cone that is not
+pointed.  ``orthant`` and ``zero`` are built once per dimension.  It orders the
 ambient rational vector space by x <= y iff y - x lies in W.  With star equal
 to iterated addition this gives the simplest cornet, in which every element
 is n-convex.  ``threshold`` is the one closed form behind every exact
@@ -12,6 +14,7 @@ needs ``ones`` strictly interior to W.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +25,7 @@ from .core import ArchFamily, CornetInstance
 from .geometry import (
     DimensionMismatch,
     Vec,
-    _kernel_vector,
+    lp_feasible,
     rat,
     vadd,
     vdot,
@@ -61,6 +64,21 @@ def _canonical(rows: Sequence[Vec]) -> tuple[Vec, ...]:
     return tuple(sorted(canon, reverse=True))
 
 
+def _line_witness(rows: Sequence[Vec], dim: int) -> Optional[Vec]:
+    """A nonzero x with m . x == 0 for every row, or None when the cone is
+    pointed.
+
+    W ∩ (-W) is the kernel of the rows, a subspace, so it is nonzero iff for
+    some coordinate i the system "m . x == 0 for every row, x_i >= 1" is
+    feasible (a kernel vector with x_i != 0, rescaled)."""
+    kernel = [ineq for m in rows for ineq in ((m, Fraction(0)), (vneg(m), Fraction(0)))]
+    for e in _unit_rows(dim):
+        x = lp_feasible([*kernel, (e, Fraction(-1))], dim)
+        if x is not None:
+            return x
+    return None
+
+
 @dataclass(frozen=True)
 class Wedge:
     """A pointed rational polyhedral cone in H-representation.
@@ -84,8 +102,7 @@ class Wedge:
             if len(m) != self.dim:
                 raise DimensionMismatch(f"row of dim {len(m)} in cone of dim {self.dim}")
         object.__setattr__(self, "rows", _canonical(self.rows))
-        # W ∩ (-W) is exactly the kernel of the row matrix.
-        witness = _kernel_vector(self.rows, self.dim)
+        witness = _line_witness(self.rows, self.dim)
         if witness is not None:
             raise NotPointedError(f"cone contains the line through {witness}")
         # Condition (iii) of the wedge axioms, n^{-1}(W) subset of W, holds
@@ -112,10 +129,12 @@ class Wedge:
         return self.contains(vsub(y, x))
 
     @staticmethod
+    @functools.cache
     def orthant(dim: int) -> "Wedge":
         return Wedge(dim, _unit_rows(dim))
 
     @staticmethod
+    @functools.cache
     def zero(dim: int) -> "Wedge":
         return Wedge(dim, _zero_rows(dim))
 

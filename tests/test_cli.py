@@ -201,6 +201,20 @@ class TestExitCodes:
         assert f"input error: {location}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [["laws", "--cases", "2"], ["cancel", "--x", "A", "--y", "Y", "--z", "Z"]],
+        ids=["laws", "cancel"],
+    )
+    @pytest.mark.parametrize("epsilons", [[], 1, "12", None], ids=["empty", "number", "string", "null"])
+    def test_epsilons_must_be_nonempty_list(self, tmp_path, capsys, argv, epsilons):
+        inst = json.loads(json.dumps(SETQ_FILE))
+        inst["family"] = {"epsilons": epsilons}
+        path = _write(tmp_path, inst)
+        assert main([argv[0], path, *argv[1:]]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "input error: $.family.epsilons: epsilons must be a nonempty list" in err
+
+    @pytest.mark.parametrize(
         "argv, options, message",
         [
             (["--max-n", "13"], {}, "--max-n: must be <= 12, got 13"),
@@ -279,6 +293,23 @@ class TestExitCodes:
 
     def test_hunt_bad_range(self):
         assert main(["hunt", "--range", "3..1"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "universe, largest",
+        [("z1", 6), ("z1-intervals", 14)],
+    )
+    def test_hunt_universe_bounded(self, capsys, universe, largest):
+        # 2^7 - 1 = 127 subsets of 0..6 and 15 * 16 / 2 = 120 intervals of
+        # 0..14 are the largest universes taken; boundedness ablated, the
+        # scan ends at once.
+        argv = ["hunt", "--universe", universe, "--ablate", "boundedness", "--format", "json"]
+        assert main([*argv, "--range", f"0..{largest}"]) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["searched"] <= 127
+        assert main([*argv, "--range", f"0..{largest + 1}"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: --range: the {universe} universe over 0..{largest + 1} has more than 127 sets" in err
+        # A huge range is refused as fast, without a huge power.
+        assert main([*argv, "--range", "0..1000000000"]) == EXIT_INPUT
 
 
 class TestInspect:

@@ -1,7 +1,8 @@
 """Exact geometry kernels: vectors, wedge cones, and the integer simplex
-checked against a brute-force rational grid and against the two engines it
-replaced (Fourier-Motzkin elimination and a Fraction-tableau simplex), which
-are kept below as reference implementations."""
+checked against a brute-force rational grid and against the engines it
+replaced (Fourier-Motzkin elimination, a Fraction-tableau simplex, and the
+Gaussian elimination that once decided pointedness), which are kept below as
+reference implementations."""
 
 import random
 from fractions import Fraction as F
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from cornets.geometry import (
     DimensionMismatch,
-    _kernel_vector,
     divide,
     join_orthant,
     lp_feasible,
@@ -25,7 +25,7 @@ from cornets.geometry import (
     vsub,
     vzero,
 )
-from cornets.wedges import NotPointedError, Wedge
+from cornets.wedges import NotPointedError, Wedge, _line_witness
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=4
@@ -87,23 +87,114 @@ class TestCones:
     def test_half_plane_not_pointed(self):
         with pytest.raises(NotPointedError):
             Wedge(2, ((F(1), F(0)),))
-        witness = _kernel_vector(((F(1), F(0)),), 2)
+        witness = _line_witness(((F(1), F(0)),), 2)
         # Witness lies in the cone together with its negation.
         assert vdot((F(1), F(0)), witness) == 0
         assert witness != vzero(2)
 
     def test_orthant_and_zero_pointed(self):
-        assert _kernel_vector(Wedge.orthant(3).rows, 3) is None
-        assert _kernel_vector(Wedge.zero(1).rows, 1) is None
+        assert _line_witness(Wedge.orthant(3).rows, 3) is None
+        assert _line_witness(Wedge.zero(1).rows, 1) is None
 
     def test_skewed_pointed_cone(self):
         # x >= 0 and y - x >= 0: pointed (contains no line).
         c = Wedge(2, ((F(1), F(0)), (F(-1), F(1))))
-        assert _kernel_vector(c.rows, 2) is None
+        assert _line_witness(c.rows, 2) is None
 
     def test_row_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             Wedge(2, ((F(1), F(0)), (F(1),)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_orthant_and_zero_built_once(self, dim):
+        assert Wedge.orthant(dim) is Wedge.orthant(dim)
+        assert Wedge.zero(dim) is Wedge.zero(dim)
+        units = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+        assert Wedge.orthant(dim) == Wedge.from_rows(units)
+        assert Wedge.from_rows(units).is_orthant
+        negated = [[-c for c in row] for row in units]
+        assert Wedge.zero(dim) == Wedge.from_rows(units + negated)
+
+
+# --- Pointedness ------------------------------------------------------------
+#
+# The Gaussian elimination that decided pointedness before the simplex did,
+# kept as a reference: the kernel of the rows, or None when it is {0}.
+
+
+def _ref_kernel_vector(rows, dim):
+    """A nonzero vector x with m . x == 0 for all rows, or None."""
+    # Gaussian elimination over Q; the kernel of the row matrix.
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for col in range(dim):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        pv = mat[r][col]
+        mat[r] = [a / pv for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    free = [c for c in range(dim) if c not in pivots]
+    if not free:
+        return None
+    # Basis vector for the first free column.
+    fc = free[0]
+    x = [F(0)] * dim
+    x[fc] = F(1)
+    for i, pc in enumerate(pivots):
+        x[pc] = -mat[i][fc]
+    return tuple(x)
+
+
+def _check_line_witness(rows, dim):
+    ref, got = _ref_kernel_vector(rows, dim), _line_witness(rows, dim)
+    assert (got is None) == (ref is None)
+    if got is not None:
+        assert got != vzero(dim)
+        assert all(vdot(m, got) == 0 for m in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(min_value=-3, max_value=3).map(F)] * d),
+            min_size=1,
+            max_size=4,
+        ).map(lambda rows: (d, rows))
+    )
+)
+def test_line_witness_matches_elimination(case):
+    dim, rows = case
+    _check_line_witness(rows, dim)
+
+
+# The cones the test suites and the benchmark build, and three that contain
+# a line: {x + y = 0, z >= 0} and all of Q^3, and the half-plane x >= 0.
+SUITE_ROWS = [
+    *(Wedge.orthant(d).rows for d in (1, 2, 3)),
+    *(Wedge.zero(d).rows for d in (1, 2, 3)),
+    ((1, 0, 0), (0, 1, 0), (1, 1, 1)),
+    ((1, 0), (1, 1)),
+    ((1, 0), (-1, 1)),
+    ((1, 1, 0), (-1, -1, 0), (0, 0, 1)),
+    ((1, 0),),
+    ((0, 0, 0),),
+]
+
+
+@pytest.mark.parametrize("rows", SUITE_ROWS)
+def test_line_witness_on_suite_cones(rows):
+    _check_line_witness([tuple(F(c) for c in r) for r in rows], len(rows[0]))
 
 
 # --- Reference engines ------------------------------------------------------

@@ -143,9 +143,21 @@ def _ref_member(w, gens, p):
     return any(w.contains(vsub(p, g)) for g in gens)
 
 
+def _ref_two_ends(gens):
+    """Reference: the pruning _canonicalize had for 1-d polytopic sets over
+    the zero wedge, which kept the two ends of three or more generators."""
+    gens = tuple(sorted(set(gens)))
+    return gens if len(gens) < 3 else (gens[0], gens[-1])
+
+
+def _ref_interval_member(gens, p):
+    """Reference: the interval test _member had for those sets."""
+    return gens[0][0] <= p[0] <= gens[-1][0]
+
+
 # One wedge for each branch of polytopic canonicalisation, checked against
 # the LP scan: the orthant, zero and general dominance steps, followed by the
-# 1-d ends, the 2-d orthant chain or the one-pass LP scan.
+# 2-d orthant chain or the one-pass LP scan.
 SCAN_WEDGES = [
     Wedge.orthant(3),
     Wedge.zero(2),
@@ -244,9 +256,8 @@ class TestMembership:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_membership_fast_paths_match_lp(self, data):
-        # A one-generator polytopic set takes the discrete branches, and a
-        # zero-wedge 1-d interval the interval test; both must agree with
-        # the LP on the same generators.
+        # A one-generator polytopic set takes the discrete branches, which
+        # must agree with the LP on the same generator.
         w = data.draw(st.sampled_from(SCAN_WEDGES))
         coord = st.fractions(min_value=-4, max_value=4, max_denominator=2)
         point = st.tuples(*[coord] * w.dim)
@@ -254,10 +265,18 @@ class TestMembership:
         p = data.draw(st.one_of(st.just(g), point))
         single = polytopic(w, [g])
         assert single.member(p) == discrete(w, [g]).member(p) == _poly_member_lp(w, [g], p)
-        gens = data.draw(st.lists(st.tuples(coord), min_size=2, max_size=5))
-        interval = polytopic(WZ, gens)
-        q = data.draw(st.tuples(coord))
-        assert interval.member(q) == _poly_member_lp(WZ, interval.generators, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_zero_wedge_intervals_match_reference(self, data):
+        # 1-d polytopic sets over the zero wedge are intervals; the LP scan
+        # keeps their two ends and the LP decides membership in them.
+        coord = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+        gens = data.draw(st.lists(st.tuples(coord), min_size=1, max_size=6))
+        ends = _canonicalize(WZ, Repr.POLYTOPIC, tuple(gens))
+        assert ends == _ref_two_ends(gens)
+        q = data.draw(st.one_of(st.sampled_from(gens), st.tuples(coord)))
+        assert polytopic(WZ, gens).member(q) == _ref_interval_member(ends, q)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
