@@ -65,8 +65,8 @@ EXIT_INPUT = 2
 # above 12.
 N_MAX_LIMIT = 12
 # The hunt's scan is cubic in the universe: on a 2-vCPU Xeon, z1 over 0..6
-# (127 sets) takes 2.5 s, and each further integer multiplies that by about
-# 6; z1-intervals over 0..14 (120 sets) takes 12.9 s.  So a larger universe
+# (127 sets) takes 1.9 s, and each further integer multiplies that by about
+# 5.5; z1-intervals over 0..14 (120 sets) takes 7.8 s.  So a larger universe
 # is refused before it is built.
 HUNT_SETS_LIMIT = 127
 
@@ -420,9 +420,9 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo_s, hi_s = text.split("..")
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
-        raise CliError(f"range must look like \"0..3\", got {text!r}")
+        raise CliError(f"range must look like \"0..3\", got {text!r}", "--range")
     if hi < lo:
-        raise CliError(f"empty range {text!r}")
+        raise CliError(f"empty range {text!r}", "--range")
     return lo, hi
 
 
@@ -569,7 +569,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_ranges(argv: list[str]) -> list[str]:
+    """``--range -3..2`` as ``--range=-3..2``: argparse takes a separate value
+    that starts with a minus sign and a digit for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--range" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--range={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = _glue_negative_ranges(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     # The handler is looked up at call time, not stored in the cached parser,
     # so a rebinding of cmd_<command> (such as a tracer's) takes effect.

@@ -132,16 +132,6 @@ def dot_mul(inst: CornetInstance, n: int, x):
     return result
 
 
-def dot_mul_naive(inst: CornetInstance, n: int, x):
-    """The textbook recursion; oracle for :func:`dot_mul`."""
-    if n == 0:
-        return inst.zero
-    acc = x
-    for _ in range(n - 1):
-        acc = inst.add(acc, x)
-    return acc
-
-
 def case_rng(seed: int, index: int) -> random.Random:
     """Deterministic per-case RNG: case i draws the same elements in every run."""
     return random.Random(f"{seed}:{index}")

@@ -1,19 +1,22 @@
 """Exact rational vectors and one exact linear feasibility engine.
 
-Vectors are plain tuples of ``fractions.Fraction``, which keeps them
-hashable, sortable and trivially immutable.  ``lp_feasible`` decides a
-system of affine inequalities with a phase-1 simplex that pivots on integers
-and returns an exact rational witness.  It is the package's one exact linear
-solver: polytopic membership and hull pruning ask it, and so does
-``wedges.Wedge`` when it checks that a cone is pointed.  No floating point is
-used anywhere, so all comparisons and memberships are exact decisions.
+Vectors are plain tuples of exact rationals, which keeps them hashable,
+sortable and trivially immutable: ``fractions.Fraction`` at the package's
+API, and ``int`` numerators inside ``sets`` (over one common denominator per
+set) and in ``wedges``' coprime rows.  The vector helpers work on either.
+``lp_feasible`` decides a system of affine inequalities with a phase-1
+simplex that pivots on integers and returns an exact rational witness.  It is
+the package's one exact linear solver: polytopic membership and hull pruning
+ask it, and so does ``wedges.Wedge`` when it checks that a cone is pointed.
+No floating point is used anywhere, so all comparisons and memberships are
+exact decisions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Rat = Fraction
@@ -67,7 +70,9 @@ def vscale(c, u: Vec) -> Vec:
 
 def vdot(u: Vec, v: Vec) -> Fraction:
     _check_dims(u, v)
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    # v's coordinates on the left: a Fraction point times an int wedge row
+    # then takes Fraction's own int fast path.
+    return sum(map(mul, v, u))
 
 
 def vzero(dim: int) -> Vec:
@@ -204,12 +209,3 @@ def lp_feasible(ineqs: Sequence[Ineq], nvars: int) -> Optional[Vec]:
     if not ineqs:
         return vzero(nvars)
     return _simplex_feasible(ineqs, nvars)
-
-
-def rational_grid(nvars: int, num_range: int, dens: Sequence[int]) -> Iterable[Vec]:
-    """All points with numerators in [-num_range, num_range] and the given
-    denominators; the brute-force oracle grid for small feasibility checks."""
-    axis = sorted(
-        {Fraction(n, d) for d in dens for n in range(-num_range, num_range + 1)}
-    )
-    return product(axis, repeat=nvars)

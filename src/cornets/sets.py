@@ -6,6 +6,11 @@ syntactic equality of values is semantic equality of denotations: one
 dominance step drops every g in h + W for another generator h, which leaves
 the antichain of minimal generators, and polytopic sets then prune the
 survivors to the vertices of conv(F) + W.
+Inside, a set holds its generators as ``int`` numerators ``nums`` over one
+positive common denominator ``den``, reduced so that gcd(den, every
+numerator) == 1; ``generators`` gives them back as Fractions at the API.
+Operations on two sets rescale both to the lcm of their denominators and then
+work on ints only; every decision here is invariant under that scaling.
 Dominance and discrete membership ask ``Wedge.leq``, which takes the orthant
 shortcut itself; only the zero wedge, whose order is equality, is handled
 here (no dominance step, and membership is a lookup among the generators).
@@ -16,27 +21,18 @@ comes from ``wedges.arch_family``.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd, lcm
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .core import ArchFamily, CornetInstance
-from .geometry import (
-    Vec,
-    divide,
-    join_orthant,
-    lp_feasible,
-    rat,
-    vadd,
-    vdot,
-    vneg,
-    vscale,
-    vzero,
-)
+from .geometry import Vec, join_orthant, lp_feasible, rat, vdot, vneg, vzero
 from .wedges import Wedge, arch_family, threshold
 
 _MAX_GENS = 5  # the most generators a sampled set has
@@ -59,21 +55,35 @@ class MultisetCapExceeded(ValueError):
     pass
 
 
+Nums = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class UpperSet:
+    """The generators nums[i] / den, in canonical form; equality and hashing
+    rest on (wedge, repr, den, nums)."""
+
     wedge: Wedge
     repr: Repr
-    generators: tuple[Vec, ...]
+    den: int
+    nums: Nums
 
     @staticmethod
     def make(wedge: Wedge, repr: Repr, generators: Iterable[Iterable]) -> "UpperSet":
-        gens = tuple(tuple(rat(c) for c in g) for g in generators)
+        # ints stay ints: they are their own numerators over 1.
+        gens = tuple(tuple(c if type(c) is int else rat(c) for c in g) for g in generators)
         if not gens:
             raise ValueError("generator list must be nonempty")
         for g in gens:
             if len(g) != wedge.dim:
                 raise ValueError(f"generator dim {len(g)} vs wedge dim {wedge.dim}")
-        return UpperSet(wedge, repr, _canonicalize(wedge, repr, gens))
+        den = lcm(*(c.denominator for g in gens for c in g))
+        nums = [tuple(c.numerator * (den // c.denominator) for c in g) for g in gens]
+        return _build(wedge, repr, den, nums)
+
+    @functools.cached_property
+    def generators(self) -> tuple[Vec, ...]:
+        return tuple(tuple(Fraction(c, self.den) for c in g) for g in self.nums)
 
     def member(self, p: Vec) -> bool:
         return _member(self, p)
@@ -87,11 +97,37 @@ def polytopic(wedge: Wedge, generators: Iterable[Iterable]) -> UpperSet:
     return UpperSet.make(wedge, Repr.POLYTOPIC, generators)
 
 
+def _build(w: Wedge, rp: Repr, den: int, nums: Iterable[tuple[int, ...]]) -> UpperSet:
+    """The trusted constructor: canonicalise the generators nums / den, then
+    divide den and the survivors by their gcd.  Pruning comes first, because
+    a pruned generator may be the one that kept the gcd at 1."""
+    nums = _canonicalize(w, rp, tuple(nums))
+    g = gcd(den, *(c for v in nums for c in v))
+    if g != 1:
+        den //= g
+        nums = tuple(tuple(c // g for c in v) for v in nums)
+    return UpperSet(w, rp, den, nums)
+
+
+def _scaled(nums: Nums, k: int) -> Nums:
+    return tuple(tuple(k * c for c in v) for v in nums)
+
+
+def _common(A: UpperSet, B: UpperSet) -> tuple[int, Nums, Nums]:
+    """The generators of A and B as numerators over the lcm of their
+    denominators; equal denominators rescale nothing."""
+    if A.den == B.den:
+        return A.den, A.nums, B.nums
+    den = lcm(A.den, B.den)
+    return den, _scaled(A.nums, den // A.den), _scaled(B.nums, den // B.den)
+
+
 def _canonicalize(w: Wedge, rp: Repr, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
     """Dominance, then hull pruning.  A generator g in h + W for another
     generator h is redundant in either representation; over a pointed W the
     polytopic survivors then lose those inside the hull of the others, which
-    leaves the vertices of conv(F) + W."""
+    leaves the vertices of conv(F) + W.  Every step is invariant under a
+    positive scaling, so it works alike on ints and Fractions."""
     gens = tuple(sorted(set(gens)))
     # Over the zero wedge h <= g only for h == g, and set() has already
     # dropped duplicates, so the step would keep every generator.
@@ -133,11 +169,9 @@ def _poly_member_lp(w: Wedge, gens: Sequence[Vec], p: Vec) -> bool:
     k = len(gens)
     ineqs = []
     for i in range(k):  # lambda_i >= 0
-        coeffs = tuple(Fraction(1 if j == i else 0) for j in range(k))
-        ineqs.append((coeffs, Fraction(0)))
-    ones = (Fraction(1),) * k
-    ineqs.append((ones, Fraction(-1)))  # sum >= 1
-    ineqs.append((tuple(-c for c in ones), Fraction(1)))  # sum <= 1
+        ineqs.append((tuple(int(j == i) for j in range(k)), 0))
+    ineqs.append(((1,) * k, -1))  # sum >= 1
+    ineqs.append(((-1,) * k, 1))  # sum <= 1
     for m in w.rows:
         coeffs = tuple(-vdot(m, g) for g in gens)
         ineqs.append((coeffs, vdot(m, p)))
@@ -145,16 +179,27 @@ def _poly_member_lp(w: Wedge, gens: Sequence[Vec], p: Vec) -> bool:
 
 
 def _member(A: UpperSet, p: Vec) -> bool:
-    w = A.wedge
-    if A.repr is Repr.DISCRETE or len(A.generators) == 1:
-        # Over the zero wedge g <= p only for g == p, and a tuple lookup is
+    """p in A, asked of A's numerators with p scaled once by A's denominator."""
+    return _has(A.wedge, A.repr, A.nums, tuple(_times(c, A.den) for c in p))
+
+
+def _times(c, den: int):
+    """c * den for an int or a Fraction c, as an int when it is one."""
+    n, r = divmod(c.numerator * den, c.denominator)
+    return c * den if r else n
+
+
+def _has(w: Wedge, rp: Repr, nums: Nums, q) -> bool:
+    """q in the set generated by nums, q and nums over one denominator."""
+    if rp is Repr.DISCRETE or len(nums) == 1:
+        # Over the zero wedge g <= q only for g == q, and a tuple lookup is
         # cheaper than the wedge test (the comparisons that dominate `hunt`).
         if w.is_zero:
-            return p in A.generators
-        return any(w.leq(g, p) for g in A.generators)
+            return q in nums
+        return any(w.leq(g, q) for g in nums)
     if w.is_orthant and w.dim == 2:
-        return _member_chain(A.generators, p)
-    return _poly_member_lp(w, A.generators, p)
+        return _member_chain(nums, q)
+    return _poly_member_lp(w, nums, q)
 
 
 def _member_chain(chain: Sequence[Vec], p: Vec) -> bool:
@@ -178,18 +223,20 @@ def msum(A: UpperSet, B: UpperSet) -> UpperSet:
     if A.wedge != B.wedge:
         raise WedgeMismatch("operands live over different wedges")
     rp = Repr.POLYTOPIC if Repr.POLYTOPIC in (A.repr, B.repr) else Repr.DISCRETE
-    gens = [vadd(a, b) for a in A.generators for b in B.generators]
-    return UpperSet.make(A.wedge, rp, gens)
+    den, an, bn = _common(A, B)
+    return _build(A.wedge, rp, den, [tuple(map(add, a, b)) for a in an for b in bn])
 
 
 def star_set(n: int, A: UpperSet) -> UpperSet:
     """n*A = {n.a + w}; over a divisible wedge this is n.F + W exactly.
 
     Scaling by n >= 1 keeps the canonical form (the sort order, dominance
-    and the hull vertices all survive it), so the generators skip ``make``."""
+    and the hull vertices all survive it), so the generators skip ``_build``;
+    dividing n and den by their gcd keeps the fraction n.nums / den reduced."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return UpperSet(A.wedge, A.repr, tuple(vscale(n, g) for g in A.generators))
+    g = gcd(n, A.den)
+    return UpperSet(A.wedge, A.repr, A.den // g, _scaled(A.nums, n // g))
 
 
 def subset(A: UpperSet, B: UpperSet) -> bool:
@@ -205,12 +252,13 @@ def subset(A: UpperSet, B: UpperSet) -> bool:
         raise WedgeMismatch("operands live over different wedges")
     if (
         A.repr is Repr.POLYTOPIC
-        and len(A.generators) > 1
+        and len(A.nums) > 1
         and B.repr is Repr.DISCRETE
-        and len(B.generators) > 1
+        and len(B.nums) > 1
     ):
         raise UnsupportedOperation("polytopic within discrete is undecided here")
-    return all(B.member(g) for g in A.generators)
+    _, an, bn = _common(A, B)
+    return all(_has(B.wedge, B.repr, bn, g) for g in an)
 
 
 def set_eq(A: UpperSet, B: UpperSet) -> bool:
@@ -225,38 +273,37 @@ def intersect(A: UpperSet, B: UpperSet) -> UpperSet:
         raise WedgeMismatch("operands live over different wedges")
     if not A.wedge.is_orthant or A.repr is not Repr.DISCRETE or B.repr is not Repr.DISCRETE:
         raise UnsupportedOperation("intersections need orthant DISCRETE operands")
-    gens = [join_orthant(f, g) for f in A.generators for g in B.generators]
-    return UpperSet.make(A.wedge, Repr.DISCRETE, gens)
+    den, an, bn = _common(A, B)
+    return _build(A.wedge, Repr.DISCRETE, den, [join_orthant(f, g) for f in an for g in bn])
 
 
 def is_n_convex_set(A: UpperSet, n: int, multiset_cap: int = 512) -> bool:
     """Decide n-convexity through the averaged-generator criterion.
 
     DISCRETE: (f_1 + ... + f_n)/n must land back in the set for every
-    n-multiset of generators (exact by divisibility of the carrier).
+    n-multiset of generators (exact by divisibility of the carrier), which
+    is tested as f_1 + ... + f_n in n.F + W, on ints.
     POLYTOPIC sets are convex outright.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1 or A.repr is Repr.POLYTOPIC:
         return True
-    k = len(A.generators)
+    k = len(A.nums)
     if comb(k + n - 1, n) > multiset_cap:
         raise MultisetCapExceeded(
             f"{comb(k + n - 1, n)} multisets exceed cap {multiset_cap}; lower n or generators"
         )
-    for combo in combinations_with_replacement(A.generators, n):
-        total = combo[0]
-        for g in combo[1:]:
-            total = vadd(total, g)
-        if not A.member(divide(total, n)):
-            return False
-    return True
+    n_nums = _scaled(A.nums, n)
+    return all(
+        _has(A.wedge, Repr.DISCRETE, n_nums, tuple(map(sum, zip(*combo))))
+        for combo in combinations_with_replacement(A.nums, n)
+    )
 
 
 def convex_hull(A: UpperSet) -> UpperSet:
     """Smallest convex W-invariant superset: same generators, POLYTOPIC."""
-    return UpperSet.make(A.wedge, Repr.POLYTOPIC, A.generators)
+    return _build(A.wedge, Repr.POLYTOPIC, A.den, A.nums)
 
 
 def phi_embed(w: Wedge, x: Vec) -> UpperSet:
@@ -295,8 +342,11 @@ def _arch_exact_set(x: UpperSet, probe: UpperSet) -> Optional[tuple[bool, Option
     Without one, when both sets are DISCRETE, 0 in U + n*x needs some pair
     with f + n.g <= 0, and a pair without a threshold holds only on a
     bounded set of n (the n where it holds form an interval), so the
-    property fails for all large n.  Otherwise the horizon search decides."""
-    n0s = [threshold(x.wedge, vneg(f), vneg(g)) for g in x.generators for f in probe.generators]
+    property fails for all large n.  Otherwise the horizon search decides.
+    The thresholds are taken on numerators over one denominator, which
+    scales both points of every pair alike."""
+    _, xn, pn = _common(x, probe)
+    n0s = [threshold(x.wedge, vneg(f), vneg(g)) for g in xn for f in pn]
     n0s = [n0 for n0 in n0s if n0 is not None]
     if n0s:
         return True, min(n0s)
@@ -309,10 +359,10 @@ def _bounded_exact_set(x: UpperSet, a: UpperSet) -> Optional[tuple[bool, Optiona
     """Against a = {g} + W, x <= n*a iff every generator f of x lies in
     n.g + W (a translated wedge is convex), so the largest threshold(W, f, -g)
     decides it, and a generator without one refutes it."""
-    if len(a.generators) != 1:
+    if len(a.nums) != 1:
         return None
-    (g,) = a.generators
-    n0s = [threshold(x.wedge, f, vneg(g)) for f in x.generators]
+    _, xn, (g,) = _common(x, a)
+    n0s = [threshold(x.wedge, f, vneg(g)) for f in xn]
     if None in n0s:
         return False, None
     return True, max(n0s)
@@ -331,9 +381,10 @@ def _sample_gens(
 
 def serialize_set(A: UpperSet) -> dict:
     """JSON form of a set: its representation and generators as rational strings."""
+    den = A.den
     return {
         "repr": A.repr.value,
-        "generators": [[str(c) for c in g] for g in A.generators],
+        "generators": [[str(c) if den == 1 else str(Fraction(c, den)) for c in g] for g in A.nums],
     }
 
 
@@ -341,7 +392,7 @@ def make_set_cornet(w: Wedge, rp: Repr = Repr.DISCRETE, integer: bool = False) -
     """The cornet of finitely generated W-invariant sets ordered by
     inclusion, with seeded sampling of up to ``_MAX_GENS`` generators."""
 
-    unit = UpperSet.make(w, rp, [vzero(w.dim)])
+    unit = UpperSet.make(w, rp, [(0,) * w.dim])
 
     def sampler(rng: random.Random) -> UpperSet:
         return UpperSet.make(w, rp, _sample_gens(w, rng, _MAX_GENS, integer))
@@ -379,8 +430,8 @@ def enumerate_z_subsets(bound: int, w: Optional[Wedge] = None, lo: int = 0) -> l
     vals = list(range(lo, bound + 1))
     out = []
     for mask in range(1, 1 << len(vals)):
-        gens = [(Fraction(v),) for i, v in enumerate(vals) if mask & (1 << i)]
-        out.append(UpperSet.make(w, Repr.DISCRETE, gens))
+        gens = [(v,) for i, v in enumerate(vals) if mask & (1 << i)]
+        out.append(_build(w, Repr.DISCRETE, 1, gens))
     return out
 
 
@@ -391,8 +442,8 @@ def order_convex_z(A: UpperSet) -> bool:
     singletons, so the counterexample hunt uses this lattice analogue when
     deciding which sets count as convex.
     """
-    vals = sorted(g[0] for g in A.generators)
-    return all(b - a == 1 for a, b in zip(vals, vals[1:]))
+    vals = sorted(g[0] for g in A.nums)
+    return all(b - a == A.den for a, b in zip(vals, vals[1:]))
 
 
 def interval_z_subsets(bound: int, w: Optional[Wedge] = None, lo: int = 0) -> list[UpperSet]:
@@ -401,6 +452,6 @@ def interval_z_subsets(bound: int, w: Optional[Wedge] = None, lo: int = 0) -> li
     out = []
     for a in range(lo, bound + 1):
         for b in range(a, bound + 1):
-            gens = [(Fraction(i),) for i in range(a, b + 1)]
-            out.append(UpperSet.make(w, Repr.DISCRETE, gens))
+            gens = [(i,) for i in range(a, b + 1)]
+            out.append(_build(w, Repr.DISCRETE, 1, gens))
     return out

@@ -1,12 +1,12 @@
 """Wedges over Q^d and the element cornet they induce.
 
 A wedge is a pointed polyhedral cone W, held as the rows of its
-H-representation; ``Wedge`` is the package's one cone type, and it asks
-``geometry.lp_feasible`` for a line in W to reject a cone that is not
-pointed.  ``orthant`` and ``zero`` are built once per dimension.  It orders the
-ambient rational vector space by x <= y iff y - x lies in W.  With star equal
-to iterated addition this gives the simplest cornet, in which every element
-is n-convex.  ``threshold`` is the one closed form behind every exact
+H-representation, each a tuple of coprime ``int``s; ``Wedge`` is the
+package's one cone type, and it asks ``geometry.lp_feasible`` for a line in
+W to reject a cone that is not pointed.  ``orthant`` and ``zero`` are built
+once per dimension.  It orders the ambient rational vector space by x <= y
+iff y - x lies in W.  With star equal to iterated addition this gives the
+simplest cornet, in which every element is n-convex.  ``threshold`` is the one closed form behind every exact
 Archimedean and boundedness decision, for points, sets and fuzzy sets alike,
 and ``arch_family`` the one builder of their Archimedean families, which
 needs ``ones`` strictly interior to W.
@@ -18,7 +18,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 from typing import Any, Callable, Optional, Sequence
 
 from .core import ArchFamily, CornetInstance
@@ -41,9 +41,7 @@ class NotPointedError(ValueError):
 
 
 def _unit_rows(dim: int) -> tuple[Vec, ...]:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
-    )
+    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
 def _zero_rows(dim: int) -> tuple[Vec, ...]:
@@ -53,14 +51,16 @@ def _zero_rows(dim: int) -> tuple[Vec, ...]:
 
 def _canonical(rows: Sequence[Vec]) -> tuple[Vec, ...]:
     """The rows of the same cone in one spelling: each row scaled by a
-    positive factor to coprime integers, duplicates dropped, sorted in
-    decreasing order (so the orthant keeps the order e_1, ..., e_d)."""
+    positive factor to coprime ints, zero rows (which constrain nothing) and
+    duplicates dropped, sorted in decreasing order (so the orthant keeps the
+    order e_1, ..., e_d)."""
     canon = set()
     for row in rows:
         mult = lcm(*(c.denominator for c in row))
         ints = [c.numerator * (mult // c.denominator) for c in row]
-        g = gcd(*ints) or 1
-        canon.add(tuple(Fraction(n // g) for n in ints))
+        g = gcd(*ints)
+        if g:
+            canon.add(tuple(n // g for n in ints))
     return tuple(sorted(canon, reverse=True))
 
 
@@ -84,9 +84,10 @@ class Wedge:
     """A pointed rational polyhedral cone in H-representation.
 
     Each row m encodes the constraint m . x >= 0; membership is an exact
-    decision.  The rows are stored in canonical form (coprime integer rows,
-    no duplicates, sorted), and equality and hashing rest on ``(dim, rows)``,
-    so any reordering or positive rescaling of the rows gives the same wedge.
+    decision.  The rows are stored in canonical form (coprime ``int`` rows,
+    no zero rows, no duplicates, sorted), and equality and hashing rest on
+    ``(dim, rows)``, so any reordering or positive rescaling of the rows, or
+    an added zero row, gives the same wedge.
     The fast-path flags ``is_orthant`` / ``is_zero`` are read off the
     canonical rows, so the orthant or zero rows written out in full give the
     same wedge as ``orthant`` / ``zero``.
@@ -122,8 +123,9 @@ class Wedge:
         return all(vdot(m, x) > 0 for m in self.rows)
 
     def leq(self, x: Vec, y: Vec) -> bool:
-        """x <= y in the wedge order iff y lands in x + W; over the orthant,
-        coordinatewise."""
+        """x <= y in the wedge order iff every row's dot product with y - x
+        is nonnegative; over the orthant, coordinatewise.  Int and Fraction
+        points alike."""
         if self.is_orthant and len(x) == len(y) == self.dim:
             return all(xc <= yc for xc, yc in zip(x, y))
         return self.contains(vsub(y, x))
@@ -162,7 +164,7 @@ def threshold(w: Wedge, u: Vec, x: Vec) -> Optional[int]:
         if b < 0 or (b == 0 and a < 0):
             return None
         if a < 0:
-            n0 = max(n0, ceil(-a / b))
+            n0 = max(n0, -(a // b))  # ceil(-a / b), exact for ints and Fractions
     return n0
 
 

@@ -1,0 +1,15 @@
+"""The brute-force rational grid that several test modules check exact
+decisions against."""
+
+from fractions import Fraction
+from itertools import product
+from typing import Iterable, Sequence
+
+
+def rational_grid(nvars: int, num_range: int, dens: Sequence[int]) -> Iterable[tuple]:
+    """All points with numerators in [-num_range, num_range] and the given
+    denominators; the brute-force oracle grid for small feasibility checks."""
+    axis = sorted(
+        {Fraction(n, d) for d in dens for n in range(-num_range, num_range + 1)}
+    )
+    return product(axis, repeat=nvars)

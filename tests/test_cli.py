@@ -291,8 +291,23 @@ class TestExitCodes:
         assert "exhausted" in capsys.readouterr().out
         assert main(["hunt", "--range", "0..0"]) == EXIT_PASS
 
-    def test_hunt_bad_range(self):
+    def test_hunt_bad_range(self, capsys):
         assert main(["hunt", "--range", "3..1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: --range: empty range '3..1'\n"
+        assert main(["hunt", "--range", "0-3"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: --range: range must look like")
+
+    def test_hunt_negative_range(self, capsys):
+        # A separate value with a leading minus sign parses as the
+        # --range=-3..2 spelling does.
+        argv = ["hunt", "--universe", "z1-intervals", "--format", "json"]
+        assert main([*argv, "--range=-3..2"]) == EXIT_PASS
+        glued = capsys.readouterr().out
+        assert main([*argv, "--range", "-3..2"]) == EXIT_PASS
+        assert capsys.readouterr().out == glued
+        assert json.loads(glued)["params"]["range"] == "-3..2"
+        assert main([*argv, "--range", "-2..-5"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: --range: empty range '-2..-5'\n"
 
     @pytest.mark.parametrize(
         "universe, largest",

@@ -22,7 +22,6 @@ from cornets.core import (
     closure_props_suite,
     convexity_semigroup_check,
     dot_mul,
-    dot_mul_naive,
     hull_props_check,
     is_A_bounded,
     is_archimedean,
@@ -46,6 +45,16 @@ from cornets.wedges import Wedge, elem_arch_family, make_elem_cornet
 
 ELEM = make_elem_cornet(Wedge.orthant(2))
 SETQ = make_set_cornet(Wedge.orthant(2), Repr.DISCRETE)
+
+
+def dot_mul_naive(inst, n: int, x):
+    """The textbook recursion; oracle for :func:`dot_mul`."""
+    if n == 0:
+        return inst.zero
+    acc = x
+    for _ in range(n - 1):
+        acc = inst.add(acc, x)
+    return acc
 
 
 class TestDotMul:

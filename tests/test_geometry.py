@@ -18,7 +18,6 @@ from cornets.geometry import (
     join_orthant,
     lp_feasible,
     rat,
-    rational_grid,
     vadd,
     vdot,
     vscale,
@@ -26,6 +25,7 @@ from cornets.geometry import (
     vzero,
 )
 from cornets.wedges import NotPointedError, Wedge, _line_witness
+from grid_oracle import rational_grid
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=4

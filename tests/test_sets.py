@@ -5,7 +5,8 @@ order-reversing singleton embedding."""
 import random
 import time
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from cornets.core import (
     is_A_bounded,
     is_archimedean,
 )
-from cornets.geometry import rational_grid, vadd, vscale, vsub
+from cornets.geometry import divide, join_orthant, vadd, vscale, vsub
 from cornets.sets import (
     MultisetCapExceeded,
     Repr,
@@ -30,23 +31,27 @@ from cornets.sets import (
     _bounded_exact_set,
     _canonicalize,
     _member,
+    _member_chain,
     _poly_member_lp,
     convex_hull,
     discrete,
     enumerate_z_subsets,
     intersect,
+    interval_z_subsets,
     is_n_convex_set,
     make_set_cornet,
     msum,
     order_convex_z,
     phi_embed,
     polytopic,
+    serialize_set,
     set_arch_family,
     set_eq,
     star_set,
     subset,
 )
 from cornets.wedges import Wedge, make_elem_cornet
+from grid_oracle import rational_grid
 
 W2 = Wedge.orthant(2)
 WZ = Wedge.zero(1)
@@ -674,3 +679,146 @@ class TestZUniverse:
         for i in range(20):
             A = inst.sampler(case_rng(1, i))
             assert all(g[0].denominator == 1 for g in A.generators)
+
+
+# --- Int numerators over one denominator, against the Fraction code ----------
+#
+# The set operations as they were when UpperSet held Fraction generators.
+# Each returns the generator tuple (or the decision) that code computed, so
+# the new integer paths are compared with it value for value.
+
+
+def _ref_set_member(A, p):
+    w, gens = A.wedge, A.generators
+    if A.repr is Repr.DISCRETE or len(gens) == 1:
+        if w.is_zero:
+            return p in gens
+        return any(w.leq(g, p) for g in gens)
+    if w.is_orthant and w.dim == 2:
+        return _member_chain(gens, p)
+    return _poly_member_lp(w, gens, p)
+
+
+def _ref_msum(A, B):
+    rp = Repr.POLYTOPIC if Repr.POLYTOPIC in (A.repr, B.repr) else Repr.DISCRETE
+    return _canonicalize(A.wedge, rp, tuple(vadd(a, b) for a in A.generators for b in B.generators))
+
+
+def _ref_star_set(n, A):
+    return tuple(vscale(n, g) for g in A.generators)
+
+
+def _ref_subset(A, B):
+    if (
+        A.repr is Repr.POLYTOPIC
+        and len(A.generators) > 1
+        and B.repr is Repr.DISCRETE
+        and len(B.generators) > 1
+    ):
+        raise UnsupportedOperation("polytopic within discrete is undecided here")
+    return all(_ref_set_member(B, g) for g in A.generators)
+
+
+def _ref_intersect(A, B):
+    gens = tuple(join_orthant(f, g) for f in A.generators for g in B.generators)
+    return _canonicalize(A.wedge, Repr.DISCRETE, gens)
+
+
+def _ref_is_n_convex_set(A, n):
+    if n == 1 or A.repr is Repr.POLYTOPIC:
+        return True
+    for combo in combinations_with_replacement(A.generators, n):
+        total = combo[0]
+        for g in combo[1:]:
+            total = vadd(total, g)
+        if not _ref_set_member(A, divide(total, n)):
+            return False
+    return True
+
+
+# (wedge, denominators): the orthant in d = 2 and 3, the zero wedge in d = 1
+# with integer and rational generators, a skew 2-d wedge and poly3's wedge.
+INT_UNIVERSES = [
+    (Wedge.orthant(2), (1, 2, 3, 4)),
+    (Wedge.orthant(3), (1, 2, 3, 4)),
+    (Wedge.zero(1), (1,)),
+    (Wedge.zero(1), (1, 2, 3, 4)),
+    (Wedge.from_rows([[1, 0], [-1, 1]]), (1, 2, 3, 4)),
+    (Wedge.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 1]]), (1, 2, 3, 4)),
+]
+
+
+def _draw_set(data, w, dens, rp, max_size=3):
+    coord = st.builds(F, st.integers(-4, 4), st.sampled_from(dens))
+    gens = data.draw(st.lists(st.tuples(*[coord] * w.dim), min_size=1, max_size=max_size))
+    return UpperSet.make(w, rp, gens)
+
+
+def _assert_reduced(A):
+    assert A.den >= 1 and gcd(A.den, *(c for g in A.nums for c in g)) == 1
+    assert all(type(c) is int for g in A.nums for c in g)
+    assert A.generators == tuple(tuple(F(c, A.den) for c in g) for g in A.nums)
+
+
+class TestIntegerGenerators:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_operations_match_fraction_code(self, data):
+        w, dens = data.draw(st.sampled_from(INT_UNIVERSES))
+        A = _draw_set(data, w, dens, data.draw(st.sampled_from(list(Repr))))
+        B = _draw_set(data, w, dens, data.draw(st.sampled_from(list(Repr))))
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        S = msum(A, B)
+        assert S.generators == _ref_msum(A, B)
+        assert star_set(n, A).generators == _ref_star_set(n, A)
+        for X in (A, B, S, star_set(n, A)):
+            _assert_reduced(X)
+        for X, Y in ((A, B), (B, A), (A, S), (S, A)):
+            try:
+                expected = _ref_subset(X, Y)
+            except UnsupportedOperation:
+                with pytest.raises(UnsupportedOperation):
+                    subset(X, Y)
+            else:
+                assert subset(X, Y) == expected
+        coord = st.builds(F, st.integers(-6, 6), st.sampled_from(dens))
+        p = data.draw(st.one_of(st.sampled_from(S.generators), st.tuples(*[coord] * w.dim)))
+        assert _member(A, p) == _ref_set_member(A, p)
+        assert _member(S, p) == _ref_set_member(S, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_discrete_decisions_match_fraction_code(self, data):
+        # Intersections (orthant only) and n-convexity, on discrete sets.
+        w, dens = data.draw(st.sampled_from(INT_UNIVERSES))
+        A = _draw_set(data, w, dens, Repr.DISCRETE, max_size=4)
+        B = _draw_set(data, w, dens, Repr.DISCRETE, max_size=4)
+        for n in (2, 3):
+            assert is_n_convex_set(A, n) == _ref_is_n_convex_set(A, n)
+        if w.is_orthant:
+            C = intersect(A, B)
+            assert C.generators == _ref_intersect(A, B)
+            _assert_reduced(C)
+
+    def test_reduction_follows_pruning(self):
+        # (1/4, 1) lies in (0, 0) + W and is pruned, so nothing is left
+        # over 4; reducing before pruning would keep den 4 and break x + 0.
+        x = discrete(W2, [(0, 0), (F(1, 4), 1)])
+        assert x.den == 1 and x.nums == ((0, 0),)
+        zero = discrete(W2, [(0, 0)])
+        assert msum(x, zero) == x
+        y = discrete(W2, [(F(1, 2), F(3, 2)), (F(5, 4), 0)])
+        assert y.den == 4 and msum(y, zero) == y and msum(zero, y) == y
+        assert star_set(2, y).den == 2 and star_set(4, y).den == 1
+
+    def test_hunt_universes_are_integer(self):
+        for A in enumerate_z_subsets(3, lo=-2) + interval_z_subsets(3, lo=-2):
+            assert A.den == 1
+            _assert_reduced(A)
+
+    def test_serialize_matches_fraction_strings(self):
+        y = polytopic(W2, [(F(-3, 6), 2), (0, F(1, 3)), (F(7, 4), F(-8, 4))])
+        assert serialize_set(y)["generators"] == [
+            [str(c) for c in g] for g in y.generators
+        ]
+        assert serialize_set(discrete(WZ, [(-3,), (0,)]))["generators"] == [["-3"], ["0"]]

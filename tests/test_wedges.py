@@ -18,6 +18,7 @@ from cornets.core import (
     is_archimedean,
 )
 from cornets.geometry import DimensionMismatch, vadd, vdot, vneg, vscale, vsub
+from cornets.sets import discrete, msum
 from cornets.wedges import (
     NotPointedError,
     Wedge,
@@ -115,6 +116,23 @@ class TestWedgeConstruction:
             assert z == Wedge.zero(2) and hash(z) == hash(Wedge.zero(2)), rows
             assert z.is_zero and not z.is_orthant
         assert not Wedge.from_rows([[1, 0], [-1, 1]]).is_orthant
+
+    def test_zero_rows_dropped(self):
+        # A zero row constrains nothing: with one, the orthant is still the
+        # orthant (and sets over the two spellings add), and alone it is
+        # still no pointed cone.
+        w = Wedge.from_rows([[1, 0], [0, 1], [0, 0]])
+        assert w == Wedge.orthant(2) and w.is_orthant
+        assert msum(discrete(Wedge.orthant(2), [(0, 1)]), discrete(w, [(1, 0)])) == discrete(
+            w, [(1, 1)]
+        )
+        with pytest.raises(NotPointedError):
+            Wedge.from_rows([[0, 0]])
+
+    def test_rows_are_coprime_ints(self):
+        w = Wedge.from_rows([["1/2", "3/4"], ["0", "2"]])
+        assert w.rows == ((2, 3), (0, 1))
+        assert all(type(c) is int for row in w.rows for c in row)
 
     def test_rational_string_rows(self):
         w = Wedge.from_rows([["1/2", "0"], ["0", "2"]])
