@@ -5,9 +5,13 @@ sortable and trivially immutable: ``fractions.Fraction`` at the package's
 API, and ``int`` numerators inside ``sets`` (over one common denominator per
 set) and in ``wedges``' coprime rows.  The vector helpers work on either.
 ``lp_feasible`` decides a system of affine inequalities with a phase-1
-simplex that pivots on integers and returns an exact rational witness.  It is
-the package's one exact linear solver: polytopic membership and hull pruning
-ask it, and so does ``wedges.Wedge`` when it checks that a cone is pointed.
+simplex that pivots on integers and returns an exact rational witness.  Its
+variables are free, or all nonnegative with ``nonneg=True``, which gives each
+one a single column and no sign row.  ``int`` input is read as it is, and
+anything else through ``rat``.  It is the package's one exact linear solver:
+polytopic membership and hull pruning ask it (for nonnegative convex
+multipliers), and so does ``wedges.Wedge`` when it checks that a cone is
+pointed (for a free kernel vector).
 No floating point is used anywhere, so all comparisons and memberships are
 exact decisions.
 """
@@ -121,24 +125,29 @@ def _integer_rows(ineqs: Sequence[Ineq]) -> list[list[int]]:
     ]
 
 
-def _simplex_feasible(ineqs: Sequence[Ineq], nvars: int) -> Optional[Vec]:
-    """Phase-1 exact simplex for coeffs . x + const >= 0 with free x.
+def _simplex_feasible(ineqs: Sequence[Ineq], nvars: int, nonneg: bool) -> Optional[Vec]:
+    """Phase-1 exact simplex for coeffs . x + const >= 0, x free or x >= 0.
 
-    Free variables are split into positive and negative parts; Bland's rule
-    guarantees termination.  The tableau holds ints: every entry is D times
-    its rational value, where D > 0 is the last pivot (the determinant of the
-    basis), so each pivot divides exactly by the previous D.
+    Free variables are split into positive and negative parts; nonnegative
+    ones keep one column each.  Bland's rule guarantees termination.  The
+    tableau holds ints: every entry is D times its rational value, where
+    D > 0 is the last pivot (the determinant of the basis), so each pivot
+    divides exactly by the previous D.
     """
-    # A y <= b with y >= 0 (y has 2*nvars entries): coeffs . x + const >= 0
-    # <=> -coeffs . x <= const, with x_j = v_j - u_j and columns (u_j, v_j).
-    nv = 2 * nvars
+    # A y <= b with y >= 0: coeffs . x + const >= 0 <=> -coeffs . x <= const.
+    # A free x_j = v_j - u_j takes the columns (u_j, v_j); a nonnegative x_j
+    # is its own column.
+    nv = nvars if nonneg else 2 * nvars
     m = len(ineqs)
     total = nv + m  # structural + slack columns; the right-hand side is last
     table: list[list[int]] = []
     basis: list[int] = []
     n_art = 0
     for i, ints in enumerate(_integer_rows(ineqs)):
-        row = [a for c in ints[:-1] for a in (c, -c)] + [0] * m + [ints[-1]]
+        if nonneg:
+            row = [-c for c in ints[:-1]] + [0] * m + [ints[-1]]
+        else:
+            row = [a for c in ints[:-1] for a in (c, -c)] + [0] * m + [ints[-1]]
         row[nv + i] = 1
         if row[-1] < 0:
             # An artificial column total + k starts basic here.  Artificials
@@ -192,20 +201,29 @@ def _simplex_feasible(ineqs: Sequence[Ineq], nvars: int) -> Optional[Vec]:
     for row, b in zip(table, basis):
         if b < nv:
             vals[b] = Fraction(row[total], d)
+    if nonneg:
+        return tuple(vals)
     # y was the split (negative part, positive part) of each free variable.
     return tuple(vals[2 * j + 1] - vals[2 * j] for j in range(nvars))
 
 
-def lp_feasible(ineqs: Sequence[Ineq], nvars: int) -> Optional[Vec]:
+def _exact(value):
+    """An int as it is (it is its own numerator over 1), anything else
+    through ``rat``, which rejects bools and floats."""
+    return value if type(value) is int else rat(value)
+
+
+def lp_feasible(ineqs: Sequence[Ineq], nvars: int, nonneg: bool = False) -> Optional[Vec]:
     """Exact feasibility of a system coeffs . x + const >= 0.
 
+    The variables are free, or all nonnegative when ``nonneg`` is true.
     Returns a rational witness when feasible, None otherwise.  An empty
     system is feasible with the zero witness.
     """
-    ineqs = [(vec(c), rat(d)) for c, d in ineqs]
+    ineqs = [(tuple(map(_exact, c)), _exact(d)) for c, d in ineqs]
     for coeffs, _ in ineqs:
         if len(coeffs) != nvars:
             raise DimensionMismatch("inequality arity differs from variable count")
     if not ineqs:
         return vzero(nvars)
-    return _simplex_feasible(ineqs, nvars)
+    return _simplex_feasible(ineqs, nvars, nonneg)

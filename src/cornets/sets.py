@@ -32,7 +32,7 @@ from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .core import ArchFamily, CornetInstance
-from .geometry import Vec, join_orthant, lp_feasible, rat, vdot, vneg, vzero
+from .geometry import Vec, _exact, join_orthant, lp_feasible, vdot, vneg, vzero
 from .wedges import Wedge, arch_family, threshold
 
 _MAX_GENS = 5  # the most generators a sampled set has
@@ -71,7 +71,7 @@ class UpperSet:
     @staticmethod
     def make(wedge: Wedge, repr: Repr, generators: Iterable[Iterable]) -> "UpperSet":
         # ints stay ints: they are their own numerators over 1.
-        gens = tuple(tuple(c if type(c) is int else rat(c) for c in g) for g in generators)
+        gens = tuple(tuple(map(_exact, g)) for g in generators)
         if not gens:
             raise ValueError("generator list must be nonempty")
         for g in gens:
@@ -165,17 +165,15 @@ def _pareto_lower_hull(antichain: Sequence[Vec]) -> tuple[Vec, ...]:
 
 
 def _poly_member_lp(w: Wedge, gens: Sequence[Vec], p: Vec) -> bool:
-    """p in conv(gens) + W via exact feasibility in the convex multipliers."""
+    """p in conv(gens) + W via exact feasibility in the convex multipliers,
+    which the engine keeps nonnegative itself."""
     k = len(gens)
-    ineqs = []
-    for i in range(k):  # lambda_i >= 0
-        ineqs.append((tuple(int(j == i) for j in range(k)), 0))
-    ineqs.append(((1,) * k, -1))  # sum >= 1
-    ineqs.append(((-1,) * k, 1))  # sum <= 1
+    ineqs = [((1,) * k, -1), ((-1,) * k, 1)]  # sum >= 1, sum <= 1
     for m in w.rows:
         coeffs = tuple(-vdot(m, g) for g in gens)
         ineqs.append((coeffs, vdot(m, p)))
-    return lp_feasible(ineqs, k) is not None
+    # nvars positionally: perfbench's tracer reads it as the second argument.
+    return lp_feasible(ineqs, k, nonneg=True) is not None
 
 
 def _member(A: UpperSet, p: Vec) -> bool:

@@ -143,6 +143,8 @@ class Wedge:
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Wedge":
         rows = tuple(tuple(rat(c) for c in r) for r in rows)
+        if not rows:
+            raise ValueError("a wedge needs at least one row")
         return Wedge(len(rows[0]), rows)
 
     def ones(self) -> Vec:

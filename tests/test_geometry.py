@@ -447,3 +447,70 @@ class TestFeasibility:
         w = lp_feasible(ineqs, nv)
         if w is not None:
             assert _satisfies(ineqs, w)
+
+
+# --- Nonnegative variables --------------------------------------------------
+#
+# With nonneg=True every variable takes one column and no sign row; the
+# answer must be that of the free system with the unit rows x_j >= 0 added.
+
+
+def _unit_ineqs(nv):
+    return [(tuple(F(int(i == j)) for j in range(nv)), F(0)) for i in range(nv)]
+
+
+class TestNonnegative:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_free_system_with_sign_rows(self, data):
+        nv = data.draw(st.integers(min_value=1, max_value=5))
+        entries = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+        ineqs = data.draw(
+            st.lists(
+                st.tuples(st.tuples(*([entries] * nv)), entries), min_size=0, max_size=8
+            )
+        )
+        got = lp_feasible(ineqs, nv, nonneg=True)
+        signed = ineqs + _unit_ineqs(nv)
+        assert (got is None) == (lp_feasible(signed, nv) is None)
+        # The sign rows make elimination blow up: 4 variables and 8 rows
+        # plus the 4 sign rows have taken 28 s, so it sees smaller systems.
+        if nv <= 3 or len(ineqs) <= 5:
+            assert (got is None) == (_fm_feasible(signed, nv) is None)
+        if got is not None:
+            assert len(got) == nv and all(c >= 0 for c in got)
+            assert _satisfies(ineqs, got)
+
+    def test_sign_alone_decides(self):
+        # x <= -1 is feasible for a free x and not for a nonnegative one.
+        ineqs = [((-1,), -1)]
+        assert lp_feasible(ineqs, 1) == (F(-1),)
+        assert lp_feasible(ineqs, 1, nonneg=True) is None
+
+
+class TestInput:
+    @pytest.mark.parametrize("nonneg", [False, True])
+    @pytest.mark.parametrize("bad", [True, 1.5])
+    def test_rejects_non_rationals(self, nonneg, bad):
+        with pytest.raises(ValueError):
+            lp_feasible([((bad,), -1)], 1, nonneg=nonneg)
+        with pytest.raises(ValueError):
+            lp_feasible([((1,), bad)], 1, nonneg=nonneg)
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    def test_parses_rational_strings(self, nonneg):
+        # x / 2 - 1 >= 0: the least x in the first basis is 2.
+        assert lp_feasible([(("1/2",), "-1")], 1, nonneg=nonneg) == (F(2),)
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    def test_int_and_fraction_input_agree(self, nonneg):
+        ints = [((1, -2), 3), ((-1, 1), -1)]
+        fracs = [(tuple(F(c) for c in cs), F(d)) for cs, d in ints]
+        assert repr(lp_feasible(ints, 2, nonneg=nonneg)) == repr(
+            lp_feasible(fracs, 2, nonneg=nonneg)
+        )
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    def test_arity_checked(self, nonneg):
+        with pytest.raises(DimensionMismatch):
+            lp_feasible([((1, 2), 0)], 1, nonneg=nonneg)

@@ -20,7 +20,7 @@ from cornets.core import (
     is_A_bounded,
     is_archimedean,
 )
-from cornets.geometry import divide, join_orthant, vadd, vscale, vsub
+from cornets.geometry import divide, join_orthant, lp_feasible, vadd, vdot, vscale, vsub
 from cornets.sets import (
     MultisetCapExceeded,
     Repr,
@@ -77,6 +77,19 @@ def _restart_scan(w, gens):
                 changed = True
                 break
     return tuple(kept)
+
+
+def _ref_poly_member_lp(w, gens, p):
+    """Reference polytopic membership: the convex multipliers as free
+    variables with explicit rows lambda_i >= 0 (what the sign-constrained
+    LP in _poly_member_lp replaced)."""
+    k = len(gens)
+    ineqs = [(tuple(int(j == i) for j in range(k)), 0) for i in range(k)]
+    ineqs.append(((1,) * k, -1))
+    ineqs.append(((-1,) * k, 1))
+    for m in w.rows:
+        ineqs.append((tuple(-vdot(m, g) for g in gens), vdot(m, p)))
+    return lp_feasible(ineqs, k) is not None
 
 
 def _ref_arch_exact_set(x, probe):
@@ -293,6 +306,25 @@ class TestMembership:
         p = data.draw(st.one_of(st.sampled_from(A.generators), point))
         assert _member(A, p) == _ref_member(w, A.generators, p)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_poly_member_lp_matches_reference(self, data):
+        # Int numerators (what sets pass) and Fractions (what the restart
+        # scan passes) alike, and on the generators themselves.
+        w = data.draw(st.sampled_from(SCAN_WEDGES))
+        coord = data.draw(
+            st.sampled_from(
+                [
+                    st.integers(min_value=-6, max_value=6),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                ]
+            )
+        )
+        point = st.tuples(*[coord] * w.dim)
+        gens = data.draw(st.lists(point, min_size=1, max_size=6))
+        p = data.draw(st.one_of(st.sampled_from(gens), point))
+        assert _poly_member_lp(w, gens, p) == _ref_poly_member_lp(w, gens, p)
+
     def test_zero_wedge_membership_is_exact_hit(self):
         A = discrete(WZ, [(0,), (2,)])
         assert A.member((F(2),))
@@ -329,9 +361,12 @@ class TestMinkowski:
             assert msum(P, A) == msum(polytopic(W2, P.generators), A)
 
     def test_three_by_three_polytopic_sum_is_fast(self):
-        # Both operands keep 3 generators, so the sum's redundancy LPs have
-        # up to 8 convex multipliers; Fourier-Motzkin on 6 of them can run
-        # for minutes.
+        # Both operands keep 3 generators, so hull pruning of the 9 candidate
+        # sums asks the integer simplex up to 9 membership LPs with up to 8
+        # nonnegative multipliers and 3 wedge rows each.  Together they take
+        # a few milliseconds; the 5 s budget only catches an engine whose
+        # cost grows exponentially in the multipliers, as Fourier-Motzkin
+        # elimination did (minutes on this sum).
         W3 = Wedge.orthant(3)
         h = F(1, 2)
         a = polytopic(W3, [(-3, h, 5), (F(-7, 4), -h, 0), (-h, 6, -h)])

@@ -129,6 +129,11 @@ class TestWedgeConstruction:
         with pytest.raises(NotPointedError):
             Wedge.from_rows([[0, 0]])
 
+    def test_no_rows_rejected(self):
+        # An empty row list has no dimension to read off.
+        with pytest.raises(ValueError, match="at least one row"):
+            Wedge.from_rows([])
+
     def test_rows_are_coprime_ints(self):
         w = Wedge.from_rows([["1/2", "3/4"], ["0", "2"]])
         assert w.rows == ((2, 3), (0, 1))
