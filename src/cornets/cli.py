@@ -200,7 +200,7 @@ def load_instance(path: str) -> Loaded:
     if kind not in _KINDS:
         raise CliError(f"kind must be one of {list(_KINDS)}, got {kind!r}", "$.universe.kind")
     dim = uni["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise CliError(f"dim must be a positive integer, got {dim!r}", "$.universe.dim")
     w = _parse_wedge(uni["wedge"], dim, "$.universe.wedge")
 
@@ -473,23 +473,23 @@ def cmd_inspect(args) -> int:
         try:
             n = int(op.split(":", 1)[1])
         except ValueError:
-            raise CliError(f"bad op {op!r}; expected convex:<n>")
+            raise CliError(f"bad op {op!r}; expected convex:<n>", "--op")
         if n < 1:
-            raise CliError("convex:<n> needs n >= 1")
+            raise CliError(f"must be >= 1, got {n}", "--op")
         if n > N_MAX_LIMIT:
             raise CliError(f"must be <= {N_MAX_LIMIT}, got {n}", "--op")
         result = is_n_convex(inst, el, n)
     elif op == "hull":
         if inst.hull is None:
-            raise CliError(f"hull is not applicable to {loaded.kind}")
+            raise CliError(f"hull is not applicable to {loaded.kind}", "--op")
         result = inst.serialize(inst.hull(el))
     elif op == "closure":
         if inst.closure is None:
-            raise CliError(f"closure is not applicable to {loaded.kind}")
+            raise CliError(f"closure is not applicable to {loaded.kind}", "--op")
         result = inst.serialize(inst.closure(el))
     elif op == "support":
         if loaded.kind != "fuzzyQ":
-            raise CliError("support applies only to fuzzyQ")
+            raise CliError("support applies only to fuzzyQ", "--op")
         result = serialize_set(support(el))
     elif op == "embed":
         if loaded.kind == "elemQ":
@@ -499,9 +499,9 @@ def cmd_inspect(args) -> int:
             target = "fuzzyQ"
             result = serialize_fuzzy(chi_embed(el))
         else:
-            raise CliError("embed applies to elemQ and setQ/setZ only")
+            raise CliError("embed applies to elemQ and setQ/setZ only", "--op")
     else:
-        raise CliError(f"unknown op {op!r}")
+        raise CliError(f"unknown op {op!r}", "--op")
 
     report = {
         "command": "inspect",

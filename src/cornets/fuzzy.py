@@ -6,6 +6,16 @@ upper set.  Because cuts are finitely generated, the supremum in the sup-min
 convolution is attained and every operation here is exact and levelwise.
 The Archimedean family, characteristic functions of the set family, exists
 only at p = 1 and comes from ``wedges.arch_family``.
+``StepFuzzy.make`` and ``level_cut`` validate what they are given, for
+callers outside the package.  ``oplus``, ``odot`` and ``fuzzy_inf`` build
+levels that are valid by construction (descending values, nested cuts, top
+at least p), so they skip that validation: ``oplus`` and ``fuzzy_inf`` only
+merge equal adjacent cuts, and ``odot``, whose scaling is injective, not
+even that.  The one exception is an ``oplus`` whose sum has a polytopic cut
+above a discrete one: ``msum`` promotes a mixed sum to its hull, so those
+cuts need not nest, and ``make`` checks them.  ``oplus``, ``leq_fuzzy``
+and ``fuzzy_inf`` look up cuts at level values they already hold, without
+parsing them again.
 """
 
 from __future__ import annotations
@@ -67,12 +77,7 @@ class StepFuzzy:
                 raise ValueError("cuts must be nested increasing")
         if lv[0][0] < p:
             raise ValueError(f"sup {lv[0][0]} drops below p = {p}")
-        # Canonical form: if two cuts coincide, only the highest level matters.
-        canon: list[tuple[Fraction, UpperSet]] = [lv[0]]
-        for a, cut in lv[1:]:
-            if cut != canon[-1][1]:
-                canon.append((a, cut))
-        return StepFuzzy(wedge, p, tuple(canon))
+        return _trusted(wedge, p, lv)
 
     def value(self, x: Vec) -> Fraction:
         for a, cut in self.levels:
@@ -83,6 +88,18 @@ class StepFuzzy:
     @property
     def top(self) -> Fraction:
         return self.levels[0][0]
+
+
+def _trusted(wedge: Wedge, p: Fraction, levels: Sequence[tuple[Fraction, UpperSet]]) -> StepFuzzy:
+    """The trusted constructor, for levels that are valid by construction
+    (strictly decreasing values in (0, 1], nested cuts over ``wedge``, top at
+    least p): it only brings them to canonical form, where of two equal
+    adjacent cuts only the highest level matters."""
+    canon = [levels[0]]
+    for a, cut in levels[1:]:
+        if cut != canon[-1][1]:
+            canon.append((a, cut))
+    return StepFuzzy(wedge, p, tuple(canon))
 
 
 def chi(A: UpperSet, p=1) -> StepFuzzy:
@@ -100,12 +117,16 @@ def level_cut(f: StepFuzzy, alpha) -> Optional[UpperSet]:
     alpha = rat(alpha)
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
+    return _cut(f, alpha)
+
+
+def _cut(f: StepFuzzy, alpha: Fraction) -> Optional[UpperSet]:
+    """``level_cut`` for an alpha already known to be a Fraction in (0, 1]."""
     hit = None
     for a, cut in f.levels:
-        if a >= alpha:
-            hit = cut
-        else:
+        if a < alpha:
             break
+        hit = cut
     return hit
 
 
@@ -119,17 +140,21 @@ def oplus(f: StepFuzzy, g: StepFuzzy) -> StepFuzzy:
     """Sup-min convolution, computed cut-by-cut as Minkowski sums."""
     if f.wedge != g.wedge:
         raise WedgeMismatch("operands live over different wedges")
-    levels = [
-        (a, msum(level_cut(f, a), level_cut(g, a))) for a in _merged_alphas(f, g)
-    ]
-    return StepFuzzy.make(f.wedge, min(f.p, g.p), levels)
+    levels = [(a, msum(_cut(f, a), _cut(g, a))) for a in _merged_alphas(f, g)]
+    # A mixed sum is promoted to its convex hull, which can exceed the sum,
+    # so a hull cut above a discrete cut need not nest: make checks those.
+    hull = [cut.repr is Repr.POLYTOPIC for _, cut in levels]
+    if hull != sorted(hull):
+        return StepFuzzy.make(f.wedge, min(f.p, g.p), levels)
+    return _trusted(f.wedge, min(f.p, g.p), levels)
 
 
 def odot(n: int, f: StepFuzzy) -> StepFuzzy:
     """(n . f)(x) = f(x/n); levelwise this scales every cut by n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return StepFuzzy.make(f.wedge, f.p, [(a, star_set(n, c)) for a, c in f.levels])
+    # Scaling by n is injective, so adjacent cuts stay distinct: nothing to merge.
+    return StepFuzzy(f.wedge, f.p, tuple((a, star_set(n, c)) for a, c in f.levels))
 
 
 def leq_fuzzy(f: StepFuzzy, g: StepFuzzy) -> bool:
@@ -137,7 +162,7 @@ def leq_fuzzy(f: StepFuzzy, g: StepFuzzy) -> bool:
     if f.wedge != g.wedge:
         raise WedgeMismatch("operands live over different wedges")
     for a, cut in f.levels:
-        gcut = level_cut(g, a)
+        gcut = _cut(g, a)
         if gcut is None or not subset(cut, gcut):
             return False
     return True
@@ -164,13 +189,13 @@ def fuzzy_inf(fs: Sequence[StepFuzzy]) -> StepFuzzy:
     values = sorted({a for f in fs for a, _ in f.levels if a <= cap}, reverse=True)
     levels = []
     for a in values:
-        cuts = [level_cut(f, a) for f in fs]
+        cuts = [_cut(f, a) for f in fs]
         if any(c is None for c in cuts):
             continue
         levels.append((a, finite_intersection(cuts)))
     if not levels or levels[0][0] < p:
         raise ValueError("family is not lower bounded in F^p: sup drops below p")
-    return StepFuzzy.make(fs[0].wedge, p, levels)
+    return _trusted(fs[0].wedge, p, levels)
 
 
 def fuzzy_arch_family(w: Wedge, epsilons: Sequence, p=1) -> ArchFamily:

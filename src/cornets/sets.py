@@ -14,6 +14,9 @@ work on ints only; every decision here is invariant under that scaling.
 Dominance and discrete membership ask ``Wedge.leq``, which takes the orthant
 shortcut itself; only the zero wedge, whose order is equality, is handled
 here (no dominance step, and membership is a lookup among the generators).
+The dominance step is one pass in order of the height ``Wedge.row_sum . g``,
+which strictly increases along the order: each generator is tested only
+against those kept before it, not against all the others.
 Archimedean and boundedness thresholds reduce to ``wedges.threshold`` on
 pairs of generators, over every wedge; the Archimedean family {-eps . ones} + W
 comes from ``wedges.arch_family``.
@@ -127,12 +130,22 @@ def _canonicalize(w: Wedge, rp: Repr, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
     generator h is redundant in either representation; over a pointed W the
     polytopic survivors then lose those inside the hull of the others, which
     leaves the vertices of conv(F) + W.  Every step is invariant under a
-    positive scaling, so it works alike on ints and Fractions."""
+    positive scaling, so it works alike on ints and Fractions.
+
+    The dominance step visits the generators by increasing height
+    ``w.row_sum . g``, which strictly increases along the order, so every
+    generator below g comes before it; g is tested only against the
+    generators kept so far, since one dropped below g lies above a kept one.
+    The survivors keep the sorted order."""
     gens = tuple(sorted(set(gens)))
     # Over the zero wedge h <= g only for h == g, and set() has already
     # dropped duplicates, so the step would keep every generator.
     if not w.is_zero:
-        gens = tuple(g for g in gens if not any(h != g and w.leq(h, g) for h in gens))
+        kept: list[Vec] = []
+        for g in sorted(gens, key=lambda g: vdot(w.row_sum, g)):
+            if not any(w.leq(h, g) for h in kept):
+                kept.append(g)
+        gens = tuple(sorted(kept))
     # Hull pruning of the polytopic survivors; any two of them are vertices.
     if rp is Repr.DISCRETE or len(gens) < 3:
         return gens

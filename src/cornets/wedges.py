@@ -9,12 +9,14 @@ iff y - x lies in W.  With star equal to iterated addition this gives the
 simplest cornet, in which every element is n-convex.  ``threshold`` is the one closed form behind every exact
 Archimedean and boundedness decision, for points, sets and fuzzy sets alike,
 and ``arch_family`` the one builder of their Archimedean families, which
-needs ``ones`` strictly interior to W.
+needs ``ones`` strictly interior to W.  Over the orthant, ``leq`` compares
+coordinates and ``threshold`` reads them, without a dot product per row.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -90,13 +92,17 @@ class Wedge:
     an added zero row, gives the same wedge.
     The fast-path flags ``is_orthant`` / ``is_zero`` are read off the
     canonical rows, so the orthant or zero rows written out in full give the
-    same wedge as ``orthant`` / ``zero``.
+    same wedge as ``orthant`` / ``zero``.  ``row_sum`` is the sum of the
+    rows: its dot product with g is a height that strictly increases along
+    the order (h <= g with h != g puts g - h in W, nonzero, and some row of a
+    pointed W is positive there).
     """
 
     dim: int
     rows: tuple[Vec, ...]
     is_orthant: bool = field(init=False, compare=False)
     is_zero: bool = field(init=False, compare=False)
+    row_sum: Vec = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for m in self.rows:
@@ -110,6 +116,7 @@ class Wedge:
         # automatically over Q: M(n x) >= 0 iff M x >= 0.
         object.__setattr__(self, "is_orthant", self.rows == _canonical(_unit_rows(self.dim)))
         object.__setattr__(self, "is_zero", self.rows == _canonical(_zero_rows(self.dim)))
+        object.__setattr__(self, "row_sum", tuple(map(sum, zip(*self.rows))))
 
     def contains(self, x: Vec) -> bool:
         if len(x) != self.dim:
@@ -127,7 +134,7 @@ class Wedge:
         is nonnegative; over the orthant, coordinatewise.  Int and Fraction
         points alike."""
         if self.is_orthant and len(x) == len(y) == self.dim:
-            return all(xc <= yc for xc, yc in zip(x, y))
+            return all(map(operator.le, x, y))
         return self.contains(vsub(y, x))
 
     @staticmethod
@@ -158,11 +165,15 @@ def threshold(w: Wedge, u: Vec, x: Vec) -> Optional[int]:
     Row by row, m.u + n (m.x) >= 0 holds for all large n iff m.x > 0, or
     m.x == 0 and m.u >= 0; a row with m.u < 0 < m.x first holds at
     n = ceil(-(m.u) / (m.x)).  Every quantifier "for all large n" over the
-    wedge order reduces to this closed form.
+    wedge order reduces to this closed form.  Over the orthant row i is e_i,
+    so m.u and m.x are the coordinates u_i and x_i themselves.
     """
+    if w.is_orthant and len(u) == len(x) == w.dim:
+        pairs = zip(u, x)
+    else:
+        pairs = ((vdot(m, u), vdot(m, x)) for m in w.rows)
     n0 = 1
-    for m in w.rows:
-        a, b = vdot(m, u), vdot(m, x)
+    for a, b in pairs:
         if b < 0 or (b == 0 and a < 0):
             return None
         if a < 0:

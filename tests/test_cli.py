@@ -112,6 +112,13 @@ class TestLoading:
         with pytest.raises(CliError, match="line"):
             load_instance(path)
 
+    def test_boolean_dim_rejected(self, tmp_path, capsys):
+        # true is an int to Python; as a dimension it must not read as 1.
+        path = _write(tmp_path, {"universe": {"kind": "elemQ", "dim": True, "wedge": "orthant"}})
+        assert main(["laws", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "input error: $.universe.dim: dim must be a positive integer, got True" in err
+
     def test_setz_constraints(self, tmp_path):
         path = _write(
             tmp_path,
@@ -362,8 +369,21 @@ class TestInspect:
         assert "input error: --op: must be <= 12, got 13" in capsys.readouterr().err
         assert main([*argv, "convex:12"]) == EXIT_PASS
 
-    def test_inapplicable_op(self, setq_path):
+    def test_inapplicable_op(self, setq_path, capsys):
         assert main(["inspect", setq_path, "--element", "A", "--op", "support"]) == EXIT_INPUT
+        assert "input error: --op: support applies only to fuzzyQ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            ("convex:0", "must be >= 1, got 0"),
+            ("convex:x", "bad op 'convex:x'; expected convex:<n>"),
+            ("bogus", "unknown op 'bogus'"),
+        ],
+    )
+    def test_op_errors_name_the_flag(self, setq_path, capsys, op, message):
+        assert main(["inspect", setq_path, "--element", "A", "--op", op]) == EXIT_INPUT
+        assert f"input error: --op: {message}" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -18,7 +18,16 @@ from cornets.core import (
     is_A_bounded,
     is_archimedean,
 )
-from cornets.sets import Repr, discrete, intersect, msum, polytopic, star_set
+from cornets.sets import (
+    Repr,
+    UnsupportedOperation,
+    discrete,
+    finite_intersection,
+    intersect,
+    msum,
+    polytopic,
+    star_set,
+)
 from cornets.fuzzy import (
     NoArchimedeanElements,
     StepFuzzy,
@@ -242,6 +251,81 @@ class TestInf:
     def test_rejects_empty_list(self):
         with pytest.raises(ValueError):
             fuzzy_inf([])
+
+
+def _ref_oplus(f, g):
+    """Reference: oplus with its levels validated by StepFuzzy.make."""
+    cap = min(f.top, g.top)
+    alphas = sorted({a for a, _ in f.levels + g.levels if a <= cap}, reverse=True)
+    levels = [(a, msum(level_cut(f, a), level_cut(g, a))) for a in alphas]
+    return StepFuzzy.make(f.wedge, min(f.p, g.p), levels)
+
+
+def _ref_odot(n, f):
+    """Reference: odot with its levels validated by StepFuzzy.make."""
+    return StepFuzzy.make(f.wedge, f.p, [(a, star_set(n, c)) for a, c in f.levels])
+
+
+def _ref_fuzzy_inf(fs):
+    """Reference: fuzzy_inf with its levels validated by StepFuzzy.make."""
+    p, cap = min(f.p for f in fs), min(f.top for f in fs)
+    levels = []
+    for a in sorted({a for f in fs for a, _ in f.levels if a <= cap}, reverse=True):
+        cuts = [level_cut(f, a) for f in fs]
+        if None not in cuts:
+            levels.append((a, finite_intersection(cuts)))
+    return StepFuzzy.make(fs[0].wedge, p, levels)
+
+
+class TestTrustedConstructor:
+    """oplus, odot and fuzzy_inf build their results without StepFuzzy.make;
+    on the same levels, make must give the same values."""
+
+    @pytest.mark.parametrize("rp", [Repr.DISCRETE, Repr.POLYTOPIC])
+    @pytest.mark.parametrize("p", [F(1), F(1, 2)])
+    def test_results_match_make(self, p, rp):
+        inst = make_fuzzy_cornet(W2, p, rp)
+        for i in range(12):
+            rng = case_rng(31, i)
+            f, g = inst.sampler(rng), inst.nonneg_sampler(rng)
+            for x, y in ((f, g), (g, f), (f, f)):
+                assert oplus(x, y) == _ref_oplus(x, y)
+            for n in (1, 2, 3):
+                assert odot(n, f) == _ref_odot(n, f)
+            if rp is Repr.DISCRETE:
+                try:
+                    ref = _ref_fuzzy_inf([f, g])
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        fuzzy_inf([f, g])
+                else:
+                    assert fuzzy_inf([f, g]) == ref
+
+    def test_equal_adjacent_sums_merge(self):
+        # Over (Z, W = {0}), {0, 2} + {0, 1} = {0, 1, 2} + {0, 1}: the two
+        # levels of the sum share one cut, and only the top one is kept.
+        wz = Wedge.zero(1)
+        f = StepFuzzy.make(
+            wz, 1, [(F(1), discrete(wz, [(0,), (2,)])), (F(1, 2), discrete(wz, [(0,), (1,), (2,)]))]
+        )
+        g = chi(discrete(wz, [(0,), (1,)]))
+        h = oplus(f, g)
+        assert h == _ref_oplus(f, g)
+        assert h.levels == ((F(1), discrete(wz, [(0,), (1,), (2,), (3,)])),)
+
+    def test_mixed_representation_sum_is_checked(self):
+        # msum promotes a one-generator polytopic cut plus a several-generator
+        # discrete cut to the hull of the sum, which holds (1/2, 1/2); the
+        # discrete cut below it does not, so the levels of the sum do not
+        # nest.  oplus leaves such levels to make, which cannot decide them.
+        f = StepFuzzy.make(
+            W2, 1, [(F(1), polytopic(W2, [(0, 0)])), (F(1, 2), discrete(W2, [(0, 0), (-1, 5)]))]
+        )
+        g = chi(discrete(W2, [(0, 1), (1, 0)]))
+        top, low = (msum(level_cut(f, a), level_cut(g, a)) for a in (F(1), F(1, 2)))
+        assert top.member((F(1, 2), F(1, 2))) and not low.member((F(1, 2), F(1, 2)))
+        with pytest.raises(UnsupportedOperation):
+            oplus(f, g)
 
 
 class TestArchimedean:

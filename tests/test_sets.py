@@ -135,8 +135,9 @@ def _ref_bounded_exact_set(x, a):
 
 
 def _ref_dominance(w, gens):
-    """Reference: the orthant and general dominance branches that
-    _canonicalize had before it asked Wedge.leq."""
+    """Reference: the all-pairs dominance filter, k^2 order tests in the
+    orthant and general branches _canonicalize had before it asked
+    Wedge.leq, which the one pass in height order replaced."""
     gens = tuple(sorted(set(gens)))
     if w.is_orthant:
         return tuple(
@@ -200,16 +201,21 @@ class TestCanonicalization:
         )
         assert _canonicalize(w, Repr.POLYTOPIC, tuple(gens)) == _restart_scan(w, gens)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_dominance_matches_reference(self, data):
         # Discrete canonicalisation is the dominance step alone, and polytopic
         # canonicalisation the LP scan of what the dominance step leaves.
+        # Sets pass int numerators; Fraction and repeated generators too.
         w = data.draw(st.sampled_from(SCAN_WEDGES))
-        coord = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+        coord = st.one_of(
+            st.integers(min_value=-4, max_value=4),
+            st.fractions(min_value=-4, max_value=4, max_denominator=2),
+        )
         gens = data.draw(
             st.lists(st.tuples(*[coord] * w.dim), min_size=1, max_size=6)
         )
+        gens += data.draw(st.lists(st.sampled_from(gens), max_size=3))
         ref = _ref_dominance(w, gens)
         assert _canonicalize(w, Repr.DISCRETE, tuple(gens)) == ref
         assert _canonicalize(w, Repr.POLYTOPIC, tuple(gens)) == _restart_scan(w, ref)

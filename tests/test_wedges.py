@@ -40,6 +40,23 @@ THRESHOLD_WEDGES = [
 ]
 
 
+def _ref_row_threshold(w, u, x):
+    """Reference: threshold read row by row through dot products, which the
+    orthant now skips by reading the coordinates."""
+    n0 = 1
+    for m in w.rows:
+        a, b = vdot(m, u), vdot(m, x)
+        if b < 0 or (b == 0 and a < 0):
+            return None
+        if a < 0:
+            n0 = max(n0, -(a // b))
+    return n0
+
+
+# Int, Fraction and mixed coordinates, as sets and points pass them.
+mixed = st.one_of(st.integers(min_value=-6, max_value=6), rationals)
+
+
 def _ref_interior_archimedean(w, x, probes, n_max=12):
     """Reference: the element Archimedean test that threshold replaced, exact
     for strictly interior x and a horizon search otherwise."""
@@ -156,6 +173,30 @@ class TestWedgeOrder:
         y = data.draw(st.one_of(st.just(x), point))
         assert w.leq(x, y) == w.contains(vsub(y, x))
 
+    @given(st.data())
+    def test_orthant_order_on_int_and_fraction_points(self, data):
+        w = Wedge.orthant(data.draw(st.integers(min_value=1, max_value=3)))
+        point = st.tuples(*[mixed] * w.dim)
+        x = data.draw(point)
+        y = data.draw(st.one_of(st.just(x), point, point.map(lambda d: vadd(x, d))))
+        assert w.leq(x, y) == w.contains(vsub(y, x))
+
+    @given(st.data())
+    def test_height_increases_along_the_order(self, data):
+        # The height row_sum . g orders the dominance pass in sets.
+        w = data.draw(st.sampled_from(THRESHOLD_WEDGES))
+        point = st.tuples(*[mixed] * w.dim)
+        h = data.draw(point)
+        g = data.draw(st.one_of(point, point.map(lambda d: vadd(h, d))))
+        if h != g and w.leq(h, g):
+            assert vdot(w.row_sum, h) < vdot(w.row_sum, g)
+
+    def test_row_sum_leaves_equality_and_repr(self):
+        w = Wedge.from_rows([[1, 0], [-1, 1]])
+        assert w.row_sum == (0, 1)
+        assert "row_sum" not in repr(w)
+        assert w == Wedge.from_rows([[-1, 1], [2, 0]])
+
     def test_orthant_order_rejects_other_dimensions(self):
         w = Wedge.orthant(2)
         with pytest.raises(DimensionMismatch):
@@ -216,6 +257,18 @@ class TestThresholdDifferential:
         else:
             assert all(member(n) for n in range(n0, n0 + 21))
             assert n0 == 1 or not member(n0 - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_orthant_matches_row_reference(self, data):
+        w = Wedge.orthant(data.draw(st.integers(min_value=1, max_value=3)))
+        vec = st.tuples(*[mixed] * w.dim)
+        u, x = data.draw(vec), data.draw(vec)
+        assert threshold(w, u, x) == _ref_row_threshold(w, u, x)
+
+    def test_orthant_threshold_rejects_other_dimensions(self):
+        with pytest.raises(DimensionMismatch):
+            threshold(Wedge.orthant(2), (F(0), F(0), F(0)), (F(1), F(1), F(1)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
