@@ -50,7 +50,6 @@ from .fuzzy import (
 )
 from .geometry import DimensionMismatch, Rat, Vec, divide, lp_feasible, rat, vec
 from .sets import (
-    MultisetCapExceeded,
     Repr,
     UnsupportedOperation,
     UpperSet,

@@ -12,8 +12,9 @@ levels that are valid by construction (descending values, nested cuts, top
 at least p), so they skip that validation: ``oplus`` and ``fuzzy_inf`` only
 merge equal adjacent cuts, and ``odot``, whose scaling is injective, not
 even that.  The one exception is an ``oplus`` whose sum has a polytopic cut
-above a discrete one: ``msum`` promotes a mixed sum to its hull, so those
-cuts need not nest, and ``make`` checks them.  ``oplus``, ``leq_fuzzy``
+above a discrete one of several generators: ``msum`` promotes the sum of a
+polytopic cut of several vertices and a discrete cut of several generators
+to its hull, so those cuts need not nest, and ``make`` checks them.  ``oplus``, ``leq_fuzzy``
 and ``fuzzy_inf`` look up cuts at level values they already hold, without
 parsing them again.
 """
@@ -141,9 +142,11 @@ def oplus(f: StepFuzzy, g: StepFuzzy) -> StepFuzzy:
     if f.wedge != g.wedge:
         raise WedgeMismatch("operands live over different wedges")
     levels = [(a, msum(_cut(f, a), _cut(g, a))) for a in _merged_alphas(f, g)]
-    # A mixed sum is promoted to its convex hull, which can exceed the sum,
+    # A polytopic cut of several vertices plus a discrete cut of several
+    # generators is promoted to its convex hull, which can exceed the sum,
     # so a hull cut above a discrete cut need not nest: make checks those.
-    hull = [cut.repr is Repr.POLYTOPIC for _, cut in levels]
+    # A one-generator cut is an exact, convex sum and nests either way.
+    hull = [cut.repr is Repr.POLYTOPIC for _, cut in levels if len(cut.nums) > 1]
     if hull != sorted(hull):
         return StepFuzzy.make(f.wedge, min(f.p, g.p), levels)
     return _trusted(f.wedge, min(f.p, g.p), levels)
@@ -173,10 +176,10 @@ def support(f: StepFuzzy) -> UpperSet:
     return f.levels[-1][1]
 
 
-def is_n_quasiconcave(f: StepFuzzy, n: int, multiset_cap: int = 512) -> bool:
+def is_n_quasiconcave(f: StepFuzzy, n: int) -> bool:
     """min(f(x_1),...,f(x_n)) <= f(mean) for all tuples; equivalently every
     cut is n-convex as an upper set."""
-    return all(is_n_convex_set(cut, n, multiset_cap) for _, cut in f.levels)
+    return all(is_n_convex_set(cut, n) for _, cut in f.levels)
 
 
 def fuzzy_inf(fs: Sequence[StepFuzzy]) -> StepFuzzy:

@@ -5,7 +5,9 @@ finite generator list F.  Generators are kept in canonical form, so that
 syntactic equality of values is semantic equality of denotations: one
 dominance step drops every g in h + W for another generator h, which leaves
 the antichain of minimal generators, and polytopic sets then prune the
-survivors to the vertices of conv(F) + W.
+survivors to the vertices of conv(F) + W.  One canonical generator makes a
+translated wedge, stored as DISCRETE; no other denotation has two forms, as
+a discrete set of several generators is never convex.
 Inside, a set holds its generators as ``int`` numerators ``nums`` over one
 positive common denominator ``den``, reduced so that gcd(den, every
 numerator) == 1; ``generators`` gives them back as Fractions at the API.
@@ -29,8 +31,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Optional, Sequence
 
@@ -51,10 +52,6 @@ class WedgeMismatch(ValueError):
 
 
 class UnsupportedOperation(ValueError):
-    pass
-
-
-class MultisetCapExceeded(ValueError):
     pass
 
 
@@ -103,12 +100,15 @@ def polytopic(wedge: Wedge, generators: Iterable[Iterable]) -> UpperSet:
 def _build(w: Wedge, rp: Repr, den: int, nums: Iterable[tuple[int, ...]]) -> UpperSet:
     """The trusted constructor: canonicalise the generators nums / den, then
     divide den and the survivors by their gcd.  Pruning comes first, because
-    a pruned generator may be the one that kept the gcd at 1."""
+    a pruned generator may be the one that kept the gcd at 1.  One survivor
+    makes a translated wedge, stored as DISCRETE."""
     nums = _canonicalize(w, rp, tuple(nums))
     g = gcd(den, *(c for v in nums for c in v))
     if g != 1:
         den //= g
         nums = tuple(tuple(c // g for c in v) for v in nums)
+    if len(nums) == 1:
+        rp = Repr.DISCRETE
     return UpperSet(w, rp, den, nums)
 
 
@@ -202,7 +202,7 @@ def _times(c, den: int):
 
 def _has(w: Wedge, rp: Repr, nums: Nums, q) -> bool:
     """q in the set generated by nums, q and nums over one denominator."""
-    if rp is Repr.DISCRETE or len(nums) == 1:
+    if rp is Repr.DISCRETE:
         # Over the zero wedge g <= q only for g == q, and a tuple lookup is
         # cheaper than the wedge test (the comparisons that dominate `hunt`).
         if w.is_zero:
@@ -230,7 +230,9 @@ def _member_chain(chain: Sequence[Vec], p: Vec) -> bool:
 
 
 def msum(A: UpperSet, B: UpperSet) -> UpperSet:
-    """Minkowski sum; mixed representations promote to POLYTOPIC."""
+    """Minkowski sum, exact except for a polytopic set of several vertices
+    plus a discrete set of several generators: that sum is promoted to its
+    convex hull, which can be larger."""
     if A.wedge != B.wedge:
         raise WedgeMismatch("operands live over different wedges")
     rp = Repr.POLYTOPIC if Repr.POLYTOPIC in (A.repr, B.repr) else Repr.DISCRETE
@@ -253,29 +255,23 @@ def star_set(n: int, A: UpperSet) -> UpperSet:
 def subset(A: UpperSet, B: UpperSet) -> bool:
     """Inclusion of denotations, decided by generator membership.
 
-    Sound when A is a union of translated wedges (DISCRETE, or POLYTOPIC
-    with one generator) or when B is convex: POLYTOPIC, or DISCRETE with one
-    generator (a translated wedge).  The one unsound combination, a
-    polytopic A of several generators within a discrete set of several
+    Sound when A is a union of translated wedges (DISCRETE, which every
+    one-generator set is) or when B is convex: POLYTOPIC, or DISCRETE with
+    one generator (a translated wedge).  The one unsound combination, a
+    polytopic A (several vertices) within a discrete set of several
     generators, is rejected.
     """
     if A.wedge != B.wedge:
         raise WedgeMismatch("operands live over different wedges")
-    if (
-        A.repr is Repr.POLYTOPIC
-        and len(A.nums) > 1
-        and B.repr is Repr.DISCRETE
-        and len(B.nums) > 1
-    ):
+    if A.repr is Repr.POLYTOPIC and B.repr is Repr.DISCRETE and len(B.nums) > 1:
         raise UnsupportedOperation("polytopic within discrete is undecided here")
     _, an, bn = _common(A, B)
     return all(_has(B.wedge, B.repr, bn, g) for g in an)
 
 
 def set_eq(A: UpperSet, B: UpperSet) -> bool:
-    if A.repr == B.repr:
-        return A == B
-    return subset(A, B) and subset(B, A)
+    """Equality of denotations, which the canonical form makes ``==``."""
+    return A == B
 
 
 def intersect(A: UpperSet, B: UpperSet) -> UpperSet:
@@ -288,32 +284,21 @@ def intersect(A: UpperSet, B: UpperSet) -> UpperSet:
     return _build(A.wedge, Repr.DISCRETE, den, [join_orthant(f, g) for f in an for g in bn])
 
 
-def is_n_convex_set(A: UpperSet, n: int, multiset_cap: int = 512) -> bool:
-    """Decide n-convexity through the averaged-generator criterion.
-
-    DISCRETE: (f_1 + ... + f_n)/n must land back in the set for every
-    n-multiset of generators (exact by divisibility of the carrier), which
-    is tested as f_1 + ... + f_n in n.F + W, on ints.
-    POLYTOPIC sets are convex outright.
-    """
+def is_n_convex_set(A: UpperSet, n: int) -> bool:
+    """A is n-convex iff n*A == n.A, with n.A = A + ... + A built by ``msum``;
+    POLYTOPIC sets are convex outright."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1 or A.repr is Repr.POLYTOPIC:
+    if A.repr is Repr.POLYTOPIC:
         return True
-    k = len(A.nums)
-    if comb(k + n - 1, n) > multiset_cap:
-        raise MultisetCapExceeded(
-            f"{comb(k + n - 1, n)} multisets exceed cap {multiset_cap}; lower n or generators"
-        )
-    n_nums = _scaled(A.nums, n)
-    return all(
-        _has(A.wedge, Repr.DISCRETE, n_nums, tuple(map(sum, zip(*combo))))
-        for combo in combinations_with_replacement(A.nums, n)
-    )
+    total = A
+    for _ in range(n - 1):
+        total = msum(total, A)
+    return star_set(n, A) == total
 
 
 def convex_hull(A: UpperSet) -> UpperSet:
-    """Smallest convex W-invariant superset: same generators, POLYTOPIC."""
+    """Smallest convex W-invariant superset: conv(F) + W on the same F."""
     return _build(A.wedge, Repr.POLYTOPIC, A.den, A.nums)
 
 

@@ -340,6 +340,16 @@ class TestInspect:
         report = json.loads(capsys.readouterr().out)
         assert report["result"]["repr"] == "polytopic"
 
+    def test_hull_of_one_generator_is_discrete(self, tmp_path, capsys):
+        # (1, 1) lies in (0, 0) + W, so T is the translated wedge (0, 0) + W.
+        inst = {
+            "universe": {"kind": "setQ", "dim": 2, "wedge": "orthant", "repr": "polytopic"},
+            "elements": {"T": {"repr": "polytopic", "generators": [["0", "0"], ["1", "1"]]}},
+        }
+        path = _write(tmp_path, inst)
+        assert main(["inspect", path, "--element", "T", "--op", "hull", "--format", "json"]) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["result"] == {"repr": "discrete", "generators": [["0", "0"]]}
+
     def test_convex(self, setq_path, capsys):
         main(["inspect", setq_path, "--element", "A", "--op", "convex:2", "--format", "json"])
         assert json.loads(capsys.readouterr().out)["result"] is False

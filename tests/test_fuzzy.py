@@ -313,17 +313,47 @@ class TestTrustedConstructor:
         assert h == _ref_oplus(f, g)
         assert h.levels == ((F(1), discrete(wz, [(0,), (1,), (2,), (3,)])),)
 
-    def test_mixed_representation_sum_is_checked(self):
-        # msum promotes a one-generator polytopic cut plus a several-generator
-        # discrete cut to the hull of the sum, which holds (1/2, 1/2); the
-        # discrete cut below it does not, so the levels of the sum do not
-        # nest.  oplus leaves such levels to make, which cannot decide them.
+    def test_one_generator_sum_is_exact(self):
+        # The one-generator top cut is discrete, so its sum with a discrete
+        # cut is the sum itself, without (1/2, 1/2), and the levels nest.
         f = StepFuzzy.make(
             W2, 1, [(F(1), polytopic(W2, [(0, 0)])), (F(1, 2), discrete(W2, [(0, 0), (-1, 5)]))]
         )
         g = chi(discrete(W2, [(0, 1), (1, 0)]))
+        top = msum(level_cut(f, F(1)), level_cut(g, F(1)))
+        assert top.repr is Repr.DISCRETE and not top.member((F(1, 2), F(1, 2)))
+        assert oplus(f, g) == _ref_oplus(f, g)
+
+    def test_hull_above_translated_wedge_is_trusted(self, monkeypatch):
+        # A polytopic cut above a one-generator cut nests, so oplus keeps
+        # the trusted constructor.
+        f = StepFuzzy.make(
+            W2, 1, [(F(1), polytopic(W2, [(0, 1), (1, 0)])), (F(1, 2), discrete(W2, [(0, 0)]))]
+        )
+        g = chi(discrete(W2, [(1, 1)]))
+        expected = _ref_oplus(f, g)
+        assert [cut.repr for _, cut in expected.levels] == [Repr.POLYTOPIC, Repr.DISCRETE]
+
+        def refuse(*args):
+            raise AssertionError("oplus validated levels that nest by construction")
+
+        monkeypatch.setattr(StepFuzzy, "make", staticmethod(refuse))
+        assert oplus(f, g) == expected
+
+    def test_mixed_representation_sum_is_checked(self):
+        # A polytopic cut of two vertices plus a discrete cut of two
+        # generators is promoted to the hull of the sum, which holds
+        # (3/5, 3/5); the discrete cut below it does not, so the levels of
+        # the sum do not nest.  oplus leaves such levels to make, which
+        # cannot decide them.
+        f = StepFuzzy.make(
+            W2,
+            1,
+            [(F(1), polytopic(W2, [(0, F(1, 5)), (F(1, 5), 0)])), (F(1, 2), discrete(W2, [(0, 0)]))],
+        )
+        g = chi(discrete(W2, [(0, 1), (1, 0)]))
         top, low = (msum(level_cut(f, a), level_cut(g, a)) for a in (F(1), F(1, 2)))
-        assert top.member((F(1, 2), F(1, 2))) and not low.member((F(1, 2), F(1, 2)))
+        assert top.member((F(3, 5), F(3, 5))) and not low.member((F(3, 5), F(3, 5)))
         with pytest.raises(UnsupportedOperation):
             oplus(f, g)
 

@@ -22,7 +22,6 @@ from cornets.core import (
 )
 from cornets.geometry import divide, join_orthant, lp_feasible, vadd, vdot, vscale, vsub
 from cornets.sets import (
-    MultisetCapExceeded,
     Repr,
     UnsupportedOperation,
     UpperSet,
@@ -475,11 +474,6 @@ class TestStarAndConvexity:
                 assert brute  # convex sets never fail on sampled tuples
             # A non-convex decision need not be witnessed by the small sample.
 
-    def test_multiset_cap(self):
-        A = discrete(W2, [(i, -i) for i in range(12)])
-        with pytest.raises(MultisetCapExceeded):
-            is_n_convex_set(A, 6, multiset_cap=50)
-
 
 class TestSubsetAndIntersect:
     def test_subset_examples(self):
@@ -552,8 +546,11 @@ class TestSubsetAndIntersect:
                 assert I.member(p) == (A.member(p) and B.member(p))
 
     def test_intersect_rejects_unsupported(self):
+        A = polytopic(W2, [(0, 1), (1, 0)])
         with pytest.raises(UnsupportedOperation):
-            intersect(polytopic(W2, [(0, 0)]), polytopic(W2, [(0, 0)]))
+            intersect(A, A)
+        # A one-generator set is discrete, whatever form it was given in.
+        assert intersect(polytopic(W2, [(0, 0)]), polytopic(W2, [(0, 0)])) == discrete(W2, [(0, 0)])
 
 
 class TestHull:
@@ -690,6 +687,15 @@ class TestExactThresholds:
         probe = discrete(W2, [(0, -1)])
         assert subset(inst.zero, msum(probe, star_set(12, x)))
         rec = is_archimedean(inst, x, Horizon(12, (probe,)))
+        assert rec.verdict is Verdict.ANALYTICALLY_REFUTED
+
+    def test_one_generator_polytopic_refuted_exactly(self):
+        # x = (1, 0) + W is stored as discrete, and no pair of generators
+        # reaches the origin, so two discrete sets: refuted exactly, not at
+        # the horizon.
+        inst = make_set_cornet(W2, Repr.POLYTOPIC)
+        x = polytopic(W2, [(1, 0)])
+        rec = is_archimedean(inst, x, Horizon(12, (discrete(W2, [(0, 0)]),)))
         assert rec.verdict is Verdict.ANALYTICALLY_REFUTED
 
     def test_custom_wedge_answers_exactly(self):
@@ -863,3 +869,61 @@ class TestIntegerGenerators:
             [str(c) for c in g] for g in y.generators
         ]
         assert serialize_set(discrete(WZ, [(-3,), (0,)]))["generators"] == [["-3"], ["0"]]
+
+
+# --- One form per denotation -------------------------------------------------
+
+
+class TestOneFormPerSet:
+    """A one-generator set is stored as DISCRETE, so ``==`` is equality of
+    denotations across both forms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_translated_wedge_has_one_form(self, data):
+        w, dens = data.draw(st.sampled_from(INT_UNIVERSES))
+        coord = st.builds(F, st.integers(-4, 4), st.sampled_from(dens))
+        g = data.draw(st.tuples(*[coord] * w.dim))
+        assert polytopic(w, [g]) == discrete(w, [g])
+        assert polytopic(w, [g]).repr is Repr.DISCRETE
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equality_is_mutual_inclusion(self, data):
+        w, dens = data.draw(st.sampled_from(INT_UNIVERSES))
+        A = _draw_set(data, w, dens, data.draw(st.sampled_from(list(Repr))))
+        B = _draw_set(data, w, dens, data.draw(st.sampled_from(list(Repr))))
+        # C denotes A: A's generators plus points of A that are redundant,
+        # in A's form (or either form, when A is a translated wedge).
+        coord = st.builds(F, st.integers(0, 3), st.sampled_from(dens))
+        steps = data.draw(st.lists(st.tuples(*[coord] * w.dim), max_size=3))
+        extra = [vadd(g, d) for g in A.generators for d in steps if w.contains(d)]
+        if A.repr is Repr.POLYTOPIC:
+            extra += [divide(vadd(f, g), 2) for f in A.generators for g in A.generators]
+        forms = list(Repr) if len(A.nums) == 1 else [A.repr]
+        C = UpperSet.make(w, data.draw(st.sampled_from(forms)), list(A.generators) + extra)
+        assert C == A and set_eq(C, A)
+        for X, Y in ((A, B), (A, C), (B, C)):
+            try:
+                both = subset(X, Y) and subset(Y, X)
+            except UnsupportedOperation:
+                continue
+            assert (X == Y) == both == set_eq(X, Y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sum_with_translated_wedge_on_grid(self, data):
+        # p in A + B iff p = a + b for a in A, b in B; with A = g + W the
+        # witness b = p - g lies on the grid for every p = g + q.
+        w, dens = data.draw(st.sampled_from(INT_UNIVERSES))
+        coord = st.builds(F, st.integers(-2, 2), st.sampled_from(dens))
+        g = data.draw(st.tuples(*[coord] * w.dim))
+        A = UpperSet.make(w, data.draw(st.sampled_from(list(Repr))), [g])
+        B = _draw_set(data, w, dens, data.draw(st.sampled_from(list(Repr))))
+        S = msum(A, B) if data.draw(st.booleans()) else msum(B, A)
+        assert S.repr is (B.repr if len(B.nums) > 1 else Repr.DISCRETE)
+        grid = list(rational_grid(w.dim, 3 if w.dim < 3 else 2, (1, 2)))
+        in_b = [b for b in grid if B.member(b)]
+        for q in data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=8)):
+            p = vadd(g, q)
+            assert S.member(p) == any(A.member(vsub(p, b)) for b in in_b)
