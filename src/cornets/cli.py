@@ -64,6 +64,11 @@ EXIT_INPUT = 2
 # every n the CLI takes (--max-n, n_max, --m, --op convex:<n>) is refused
 # above 12.
 N_MAX_LIMIT = 12
+# Horizon searches and `cancel`'s chain, one link per n, cost more than
+# linearly in the horizon: of 200 benchmark `cancel` requests (seeds 1 and 2,
+# 2-vCPU Xeon) the slowest takes 3.2 s at 200, and one takes 96 s at 1,000.
+HORIZON_LIMIT = 200
+_LIMITS = {"n_max": N_MAX_LIMIT, "horizon": HORIZON_LIMIT}
 # The hunt's scan is cubic in the universe: on a 2-vCPU Xeon, z1 over 0..6
 # (127 sets) takes 1.9 s, and each further integer multiplies that by about
 # 5.5; z1-intervals over 0..14 (120 sets) takes 7.8 s.  So a larger universe
@@ -233,10 +238,8 @@ def load_instance(path: str) -> Loaded:
         value = options[key]
         if not (isinstance(value, int) and not isinstance(value, bool)):
             raise CliError(f"{key} must be an integer", f"$.options.{key}")
-        if key != "seed" and value < 1:
-            raise CliError(f"{key} must be >= 1, got {value}", f"$.options.{key}")
-        if key == "n_max" and value > N_MAX_LIMIT:
-            raise CliError(f"n_max must be <= {N_MAX_LIMIT}, got {value}", "$.options.n_max")
+        if key != "seed":
+            _in_range(value, f"$.options.{key}", 1, _LIMITS.get(key), f"{key} ")
 
     if kind == "elemQ":
         inst = make_elem_cornet(w)
@@ -318,18 +321,20 @@ def emit(report: dict, fmt: str) -> None:
     print(f"  status: {report['status']}")
 
 
-def _count(
-    args_value, flag: str, options: dict, key: str, default: int, most: Optional[int] = None
-) -> int:
-    """A count of at least 1 (and at most ``most``): the command-line flag,
-    else ``$.options``, else the default."""
+def _in_range(value: int, location: str, least: int, most: Optional[int], name: str = "") -> int:
+    """value, or an input error at ``location`` if not in least..most (None: no bound)."""
+    if value < least:
+        raise CliError(f"{name}must be >= {least}, got {value}", location)
+    if most is not None and value > most:
+        raise CliError(f"{name}must be <= {most}, got {value}", location)
+    return value
+
+
+def _count(args_value, flag: str, options: dict, key: str, default: int) -> int:
+    """A count in 1.._LIMITS[key]: the flag, else ``$.options``, else the default."""
     if args_value is None:
         return options.get(key, default)
-    if args_value < 1:
-        raise CliError(f"must be >= 1, got {args_value}", flag)
-    if most is not None and args_value > most:
-        raise CliError(f"must be <= {most}, got {args_value}", flag)
-    return args_value
+    return _in_range(args_value, flag, 1, _LIMITS.get(key))
 
 
 # --- Commands ----------------------------------------------------------------
@@ -340,7 +345,7 @@ def cmd_laws(args) -> int:
     inst = loaded.inst
     cases = _count(args.cases, "--cases", loaded.options, "cases", 200)
     seed = loaded.options.get("seed", 0) if args.seed is None else args.seed
-    n_max = _count(args.max_n, "--max-n", loaded.options, "n_max", 6, N_MAX_LIMIT)
+    n_max = _count(args.max_n, "--max-n", loaded.options, "n_max", 6)
     horizon = _count(args.horizon, "--horizon", loaded.options, "horizon", 12)
 
     laws = check_cornet_laws(inst, seed, cases, n_max)
@@ -372,10 +377,7 @@ def cmd_cancel(args) -> int:
     for name in (args.x, args.y, args.z):
         if name not in loaded.elements:
             raise CliError(f"element {name!r} not defined in the instance file", "$.elements")
-    if args.m < 2:
-        raise CliError(f"must be >= 2, got {args.m}", "--m")
-    if args.m > N_MAX_LIMIT:
-        raise CliError(f"must be <= {N_MAX_LIMIT}, got {args.m}", "--m")
+    _in_range(args.m, "--m", 2, N_MAX_LIMIT)
     if loaded.family is None:
         raise CliError(loaded.family_note or "no Archimedean family available")
     x, y, z = loaded.elements[args.x], loaded.elements[args.y], loaded.elements[args.z]
@@ -474,11 +476,7 @@ def cmd_inspect(args) -> int:
             n = int(op.split(":", 1)[1])
         except ValueError:
             raise CliError(f"bad op {op!r}; expected convex:<n>", "--op")
-        if n < 1:
-            raise CliError(f"must be >= 1, got {n}", "--op")
-        if n > N_MAX_LIMIT:
-            raise CliError(f"must be <= {N_MAX_LIMIT}, got {n}", "--op")
-        result = is_n_convex(inst, el, n)
+        result = is_n_convex(inst, el, _in_range(n, "--op", 1, N_MAX_LIMIT))
     elif op == "hull":
         if inst.hull is None:
             raise CliError(f"hull is not applicable to {loaded.kind}", "--op")

@@ -267,9 +267,6 @@ def make_fuzzy_cornet(w: Wedge, p=1, cut_repr: Repr = Repr.DISCRETE) -> CornetIn
             return None
         return _bounded_exact_set(support(x), a.levels[0][1])
 
-    def finite_inf(fs):
-        return fuzzy_inf(list(fs))
-
     return CornetInstance(
         name=f"fuzzyQ(d={w.dim},p={p},{cut_repr.value})",
         zero=unit,
@@ -278,9 +275,7 @@ def make_fuzzy_cornet(w: Wedge, p=1, cut_repr: Repr = Repr.DISCRETE) -> CornetIn
         leq=leq_fuzzy,
         sampler=lambda rng: _sample_fuzzy(w, p, cut_repr, rng, False),
         nonneg_sampler=lambda rng: _sample_fuzzy(w, p, cut_repr, rng, True),
-        finite_inf=(
-            finite_inf if (w.is_orthant and cut_repr is Repr.DISCRETE) else None
-        ),
+        finite_inf=fuzzy_inf if (w.is_orthant and cut_repr is Repr.DISCRETE) else None,
         closure=fuzzy_closure,
         serialize=serialize_fuzzy,
         arch_exact=arch_exact,

@@ -158,10 +158,9 @@ def _simplex_feasible(ineqs: Sequence[Ineq], nvars: int, nonneg: bool) -> Option
         else:
             basis.append(nv + i)
         table.append(row)
-    if n_art == 0:
-        # All right-hand sides nonnegative: y = 0 is already feasible.
-        return vzero(nvars)
     # Objective: minimize the sum of artificials -> cost row = -sum(art rows).
+    # Without artificials (every constant nonnegative) the row is zero, the
+    # loop ends at once and the slack basis reads off y = 0.
     cost = [0] * (total + 1)
     for row, b in zip(table, basis):
         if b >= total:
@@ -224,6 +223,4 @@ def lp_feasible(ineqs: Sequence[Ineq], nvars: int, nonneg: bool = False) -> Opti
     for coeffs, _ in ineqs:
         if len(coeffs) != nvars:
             raise DimensionMismatch("inequality arity differs from variable count")
-    if not ineqs:
-        return vzero(nvars)
     return _simplex_feasible(ineqs, nvars, nonneg)

@@ -7,7 +7,8 @@ dominance step drops every g in h + W for another generator h, which leaves
 the antichain of minimal generators, and polytopic sets then prune the
 survivors to the vertices of conv(F) + W.  One canonical generator makes a
 translated wedge, stored as DISCRETE; no other denotation has two forms, as
-a discrete set of several generators is never convex.
+a discrete set of several generators is never convex.  So convexity, and with
+it n-convexity for every n >= 2, is read off the form, not off n.A.
 Inside, a set holds its generators as ``int`` numerators ``nums`` over one
 positive common denominator ``den``, reduced so that gcd(den, every
 numerator) == 1; ``generators`` gives them back as Fractions at the API.
@@ -256,14 +257,13 @@ def subset(A: UpperSet, B: UpperSet) -> bool:
     """Inclusion of denotations, decided by generator membership.
 
     Sound when A is a union of translated wedges (DISCRETE, which every
-    one-generator set is) or when B is convex: POLYTOPIC, or DISCRETE with
-    one generator (a translated wedge).  The one unsound combination, a
-    polytopic A (several vertices) within a discrete set of several
-    generators, is rejected.
+    one-generator set is) or when B is convex (``_convex``).  The one unsound
+    combination, a polytopic A (several vertices) within a discrete set of
+    several generators, is rejected.
     """
     if A.wedge != B.wedge:
         raise WedgeMismatch("operands live over different wedges")
-    if A.repr is Repr.POLYTOPIC and B.repr is Repr.DISCRETE and len(B.nums) > 1:
+    if A.repr is Repr.POLYTOPIC and not _convex(B):
         raise UnsupportedOperation("polytopic within discrete is undecided here")
     _, an, bn = _common(A, B)
     return all(_has(B.wedge, B.repr, bn, g) for g in an)
@@ -284,17 +284,28 @@ def intersect(A: UpperSet, B: UpperSet) -> UpperSet:
     return _build(A.wedge, Repr.DISCRETE, den, [join_orthant(f, g) for f in an for g in bn])
 
 
+def _convex(A: UpperSet) -> bool:
+    """POLYTOPIC, or one generator (a translated wedge): the convex forms."""
+    return A.repr is Repr.POLYTOPIC or len(A.nums) == 1
+
+
 def is_n_convex_set(A: UpperSet, n: int) -> bool:
-    """A is n-convex iff n*A == n.A, with n.A = A + ... + A built by ``msum``;
-    POLYTOPIC sets are convex outright."""
+    """A is n-convex (n*A == n.A, n.A = A + ... + A) iff n == 1 or A is convex.
+
+    A convex set is n-convex.  A canonical DISCRETE set of two or more
+    generators is an antichain, and n-convex for no n >= 2.  Over a pointed W
+    the height l = ``W.row_sum`` is strictly positive on W minus 0.  Order the
+    generators by l, ties broken lexicographically; let a, b be the first two.
+    Then s = (n-1)a + b is in n.A but in no n.h + W.  For h = a or b, s - n.h
+    is b - a or (n-1)(a - b), which the antichain keeps out of W.  Any other h
+    has l(h) >= l(b) >= l(s) / n, so s - n.h in W needs s = n.h; then
+    h = a + (b - a) / n has b's height and is lexicographically strictly
+    between a and b, so b was not second.  Over the zero wedge, s - n.h in W
+    means s = n.h outright.  Hence the canonical form (an antichain) and a
+    pointed W (a height l) are both needed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if A.repr is Repr.POLYTOPIC:
-        return True
-    total = A
-    for _ in range(n - 1):
-        total = msum(total, A)
-    return star_set(n, A) == total
+    return n == 1 or _convex(A)
 
 
 def convex_hull(A: UpperSet) -> UpperSet:

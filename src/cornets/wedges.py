@@ -249,8 +249,6 @@ def make_elem_cornet(w: Wedge) -> CornetInstance:
         return n0 is not None, n0
 
     def finite_inf(xs: Sequence[Vec]) -> Vec:
-        if not w.is_orthant:
-            raise ValueError("finite infima only in orthant mode")
         return tuple(min(x[i] for x in xs) for i in range(w.dim))
 
     return CornetInstance(

@@ -13,6 +13,7 @@ from cornets.cli import (
     EXIT_INPUT,
     EXIT_PASS,
     EXIT_VIOLATION,
+    HORIZON_LIMIT,
     CliError,
     build_parser,
     load_instance,
@@ -242,6 +243,39 @@ class TestExitCodes:
         path = _write(tmp_path, inst)
         assert main(["laws", path, "--cases", "1"]) == EXIT_PASS
         assert main(["laws", path, "--cases", "1", "--max-n", "12"]) == EXIT_PASS
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["laws", "--cases", "1"], ["cancel", "--x", "A", "--y", "Y", "--z", "Z"]],
+        ids=["laws", "cancel"],
+    )
+    def test_horizon_above_limit_rejected(self, tmp_path, capsys, argv):
+        over = HORIZON_LIMIT + 1
+        inst = json.loads(json.dumps(SETQ_FILE))
+        path = _write(tmp_path, inst)
+        assert main([argv[0], path, *argv[1:], "--horizon", str(over)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"input error: --horizon: must be <= {HORIZON_LIMIT}, got {over}\n"
+        inst["options"]["horizon"] = over
+        path = _write(tmp_path, inst)
+        assert main([argv[0], path, *argv[1:]]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"input error: $.options.horizon: horizon must be <= {HORIZON_LIMIT}, got {over}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["laws", "--cases", "1"], ["cancel", "--x", "A", "--y", "Y", "--z", "Z"]],
+        ids=["laws", "cancel"],
+    )
+    def test_horizon_at_limit_accepted(self, tmp_path, capsys, argv):
+        inst = json.loads(json.dumps(SETQ_FILE))
+        path = _write(tmp_path, inst)
+        assert main([argv[0], path, *argv[1:], "--horizon", str(HORIZON_LIMIT)]) == EXIT_PASS
+        capsys.readouterr()
+        inst["options"]["horizon"] = HORIZON_LIMIT
+        path = _write(tmp_path, inst)
+        assert main([argv[0], path, *argv[1:], "--format", "json"]) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["params"]["horizon"] == HORIZON_LIMIT
 
     def test_cancel_m_below_two_rejected(self, setq_path, capsys):
         argv = ["cancel", setq_path, "--x", "A", "--y", "Y", "--z", "Z", "--m", "1"]

@@ -8,6 +8,8 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornets.core import (
     Horizon,
@@ -17,6 +19,7 @@ from cornets.core import (
     check_cornet_laws,
     is_A_bounded,
     is_archimedean,
+    is_n_convex,
 )
 from cornets.sets import (
     Repr,
@@ -200,6 +203,23 @@ class TestQuasiconcavity:
                     tup = [rng.choice(grid) for _ in range(n)]
                     mean = (sum(t[0] for t in tup) / n,)
                     assert min(f.value(t) for t in tup) <= f.value(mean)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_closed_form_matches_definition(self, data):
+        # Every cut's closed-form convexity against n*f == n.f, with n.f by
+        # binary-doubling dot_mul.
+        w = data.draw(st.sampled_from(QC_WEDGES))
+        rp = data.draw(st.sampled_from(list(Repr)))
+        inst = make_fuzzy_cornet(w, data.draw(st.sampled_from([F(1), F(1, 2)])), rp)
+        f = inst.sampler(case_rng(data.draw(st.integers(0, 10**6)), 0))
+        n = data.draw(st.integers(min_value=2, max_value=4))
+        assert is_n_quasiconcave(f, n) == is_n_convex(inst, f, n)
+
+
+# The orthants of Q and Q^2, the zero wedge of Q and a skew wedge of Q^2.
+QC_WEDGES = [W1, W2, Wedge.zero(1), Wedge.from_rows([[1, 0], [-1, 1]])]
 
 
 class TestChiEmbedding:

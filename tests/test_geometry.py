@@ -487,6 +487,22 @@ class TestNonnegative:
         assert lp_feasible(ineqs, 1) == (F(-1),)
         assert lp_feasible(ineqs, 1, nonneg=True) is None
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_nonnegative_constants_give_zero_witness(self, data):
+        # y = 0 is feasible from the start: no artificial column, no pivot.
+        # Free and nonnegative variables alike; the sign rows keep every
+        # constant nonnegative for the free reference engine.
+        nv = data.draw(st.integers(min_value=1, max_value=5))
+        coeffs = st.tuples(*([st.fractions(min_value=-6, max_value=6, max_denominator=6)] * nv))
+        consts = st.fractions(min_value=0, max_value=6, max_denominator=6)
+        ineqs = data.draw(st.lists(st.tuples(coeffs, consts), min_size=1, max_size=8))
+        for nonneg in (False, True):
+            w = lp_feasible(ineqs, nv, nonneg=nonneg)
+            assert w == vzero(nv)
+            ref = _fraction_simplex(ineqs + (_unit_ineqs(nv) if nonneg else []), nv)
+            assert repr(w) == repr(ref)
+
 
 class TestInput:
     @pytest.mark.parametrize("nonneg", [False, True])

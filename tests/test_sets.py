@@ -19,6 +19,7 @@ from cornets.core import (
     check_A_continuity,
     is_A_bounded,
     is_archimedean,
+    is_n_convex,
 )
 from cornets.geometry import divide, join_orthant, lp_feasible, vadd, vdot, vscale, vsub
 from cornets.sets import (
@@ -846,6 +847,17 @@ class TestIntegerGenerators:
             C = intersect(A, B)
             assert C.generators == _ref_intersect(A, B)
             _assert_reduced(C)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_convexity_closed_form_matches_definition(self, data):
+        # The closed form (n == 1, POLYTOPIC, or one generator) against the
+        # definition n*A == n.A, with n.A by binary-doubling dot_mul.
+        w, dens = data.draw(st.sampled_from(INT_UNIVERSES))
+        rp = data.draw(st.sampled_from(list(Repr)))
+        A = _draw_set(data, w, dens, rp, max_size=4)
+        n = data.draw(st.integers(min_value=2, max_value=4))
+        assert is_n_convex_set(A, n) == is_n_convex(make_set_cornet(w, rp), A, n)
 
     def test_reduction_follows_pruning(self):
         # (1/4, 1) lies in (0, 0) + W and is pruned, so nothing is left
