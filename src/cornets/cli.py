@@ -70,9 +70,9 @@ N_MAX_LIMIT = 12
 HORIZON_LIMIT = 200
 _LIMITS = {"n_max": N_MAX_LIMIT, "horizon": HORIZON_LIMIT}
 # The hunt's scan is cubic in the universe: on a 2-vCPU Xeon, z1 over 0..6
-# (127 sets) takes 1.9 s, and each further integer multiplies that by about
-# 5.5; z1-intervals over 0..14 (120 sets) takes 7.8 s.  So a larger universe
-# is refused before it is built.
+# (127 sets) takes 0.9 s, and each further integer multiplies that by about
+# 6 (0..7 takes 5.3 s); z1-intervals over 0..14 (120 sets) takes 1.6 s.  So
+# a larger universe is refused before it is built.
 HUNT_SETS_LIMIT = 127
 
 

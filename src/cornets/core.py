@@ -88,8 +88,10 @@ class CornetInstance:
     """A concrete cornet: carrier operations plus optional extras.
 
     ``add``/``star``/``leq``/``zero`` are the signature.  Elements must have
-    canonical representations so that ``==`` is semantic equality; ``leq``
-    both ways is used as a cross-check in the test-suite, not here.
+    canonical representations so that ``==`` is semantic equality, and must
+    hash consistently with ``==`` (:func:`ablation_hunt` numbers its sums in
+    a dict); ``leq`` both ways is used as a cross-check in the test-suite,
+    not here.
     """
 
     name: str
@@ -580,9 +582,11 @@ def ablation_hunt(
     where the default admits only singletons).  Returns (x, y, z) or None.
 
     The admitted y are filtered once, before the scan.  Each sum
-    ``elements[i] + elements[k]`` is computed on first use and kept, keyed
-    by position, for the rest of this call, so the O(U^3) scan makes at
-    most U^2 additions; nothing is kept across calls.
+    ``elements[i] + elements[k]`` is computed on first use and numbered by
+    value (``==`` is equality of denotations, so equal sums share a number),
+    and each order test between two sums is kept by its pair of numbers.  So
+    the O(U^3) scan makes at most U^2 additions and one order test per
+    distinct pair of sums; nothing is kept across calls.
     """
     if convexity_test is None:
         convexity_test = lambda e: any(is_n_convex(inst, e, n) for n in range(2, 5))
@@ -600,20 +604,32 @@ def ablation_hunt(
         raise ValueError(f"unknown ablation {ablate!r}")
     elements = sorted(universe, key=lambda e: str(inst.serialize(e)))
     admitted = [(j, y) for j, y in enumerate(elements) if admits(y)]
-    sums: dict[tuple[int, int], Any] = {}
+    sums: list = []  # number -> sum
+    number: dict[Any, int] = {}  # sum -> number
+    at: dict[tuple[int, int], int] = {}  # (i, k) -> number of elements[i] + elements[k]
+    order: dict[tuple[int, int], bool] = {}  # (a, b) -> sums[a] <= sums[b]
 
-    def plus(i: int, k: int):
-        s = sums.get((i, k))
-        if s is None:
-            s = sums[i, k] = inst.add(elements[i], elements[k])
-        return s
+    def plus(i: int, k: int) -> int:
+        a = at.get((i, k))
+        if a is None:
+            s = inst.add(elements[i], elements[k])
+            a = at[i, k] = number.setdefault(s, len(sums))
+            if a == len(sums):
+                sums.append(s)
+        return a
+
+    def leq(a: int, b: int) -> bool:
+        ok = order.get((a, b))
+        if ok is None:
+            ok = order[a, b] = inst.leq(sums[a], sums[b])
+        return ok
 
     for i, x in enumerate(elements):
         for j, y in admitted:
             if inst.leq(x, y):
                 continue
             for k in range(len(elements)):
-                if inst.leq(plus(i, k), plus(j, k)):
+                if leq(plus(i, k), plus(j, k)):
                     return (x, y, elements[k])
     return None
 

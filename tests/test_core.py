@@ -319,6 +319,10 @@ class TestAblationHunt:
         # its universe, so the order it is given in is free.
         full = make_universe(hi, lo=lo)
         universe = data.draw(st.lists(st.sampled_from(full), min_size=1, unique_by=id) | st.permutations(full))
+        # Value-equal copies, built apart from the originals, check that the
+        # scan numbers its sums by value and not by object or position.
+        copies = data.draw(st.lists(st.sampled_from(universe), max_size=3))
+        universe = universe + [discrete(Wedge.zero(1), e.generators) for e in copies]
         got = ablation_hunt(inst, universe, ablate, convexity_test=convex)
         ref = _ref_hunt(inst, universe, ablate, convexity_test=convex)
         ser = lambda t: None if t is None else [inst.serialize(e) for e in t]
@@ -335,6 +339,25 @@ class TestAblationHunt:
         universe = enumerate_z_subsets(4)
         assert ablation_hunt(counted, universe, "none", convexity_test=order_convex_z) is None
         assert len(calls) <= len(universe) ** 2 == 961
+
+    def test_each_order_question_is_asked_once(self):
+        calls = {"add": 0, "leq": 0}
+
+        def add(a, b):
+            calls["add"] += 1
+            return self.INST.add(a, b)
+
+        def leq(a, b):
+            calls["leq"] += 1
+            return self.INST.leq(a, b)
+
+        counted = dataclasses.replace(self.INST, add=add, leq=leq)
+        universe = interval_z_subsets(6)
+        assert ablation_hunt(counted, universe, "none", convexity_test=order_convex_z) is None
+        # 784 pretests x <= y over 28 x 28 pairs, then one test per distinct
+        # pair of sums, of which there are 4,207.
+        assert calls["leq"] <= 784 + 4207
+        assert calls["add"] <= len(universe) ** 2 == 784
 
     def test_convexity_ablation_finds_triple(self):
         universe = enumerate_z_subsets(3)
