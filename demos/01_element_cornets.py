@@ -12,6 +12,7 @@ from fractions import Fraction as F
 from cornets import (
     Wedge,
     check_cornet_laws,
+    dot_mul,
     elem_arch_family,
     make_elem_cornet,
     threshold,
@@ -27,7 +28,7 @@ print(f"{y} <= {x}:", inst.leq(y, x))
 
 print("\n== star equals iterated addition here ==")
 print("3 * x  =", inst.star(3, x))
-print("3 . x  =", inst.dot(3, x))
+print("3 . x  =", dot_mul(inst, 3, x))
 
 print("\n== exact Archimedean thresholds ==")
 probe = (F(-5), F(-7))

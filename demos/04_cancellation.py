@@ -49,7 +49,7 @@ print("  y-m-convex:", rec.hypotheses["y-m-convex"])
 print("\n== hunting a counterexample with convexity ablated ==")
 wz = Wedge.zero(1)
 instz = make_set_cornet(wz, Repr.DISCRETE, integer=True)
-universe = enumerate_z_subsets(4, wz)
+universe = enumerate_z_subsets(4)
 hit = ablation_hunt(instz, universe, ablate="convexity", convexity_test=order_convex_z)
 assert hit is not None
 x, y, z = hit

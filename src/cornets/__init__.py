@@ -12,6 +12,7 @@ from .core import (
     CornetInstance,
     Horizon,
     LawReport,
+    UnsupportedOperation,
     Verdict,
     VerdictRecord,
     ablation_hunt,
@@ -48,10 +49,9 @@ from .fuzzy import (
     oplus,
     support,
 )
-from .geometry import DimensionMismatch, Rat, Vec, divide, lp_feasible, rat, vec
+from .geometry import DimensionMismatch, Vec, divide, lp_feasible, rat, vec
 from .sets import (
     Repr,
-    UnsupportedOperation,
     UpperSet,
     WedgeMismatch,
     convex_hull,
@@ -68,7 +68,6 @@ from .sets import (
     polytopic,
     set_arch_family,
     set_closure,
-    set_eq,
     star_set,
     subset,
 )

@@ -22,6 +22,7 @@ from .core import (
     CornetInstance,
     Horizon,
     LawReport,
+    UnsupportedOperation,
     ablation_hunt,
     cancellation_check,
     case_rng,
@@ -43,7 +44,6 @@ from .fuzzy import (
 from .geometry import rat
 from .sets import (
     Repr,
-    UnsupportedOperation,
     UpperSet,
     enumerate_z_subsets,
     interval_z_subsets,
@@ -125,12 +125,16 @@ def _parse_wedge(spec, dim: int, location: str) -> Wedge:
     raise CliError(f"wedge must be \"orthant\", \"zero\" or {{\"rows\": ...}}, got {spec!r}", location)
 
 
+def _parse_repr(value, location: str) -> Repr:
+    try:
+        return Repr(value)
+    except ValueError:
+        raise CliError(f"repr must be \"discrete\" or \"polytopic\", got {value!r}", location)
+
+
 def _parse_set(obj, w: Wedge, location: str, integer: bool = False) -> UpperSet:
     _require_keys(obj, {"repr", "generators"}, {"repr", "generators"}, location)
-    try:
-        rp = Repr(obj["repr"])
-    except ValueError:
-        raise CliError(f"repr must be \"discrete\" or \"polytopic\", got {obj['repr']!r}", location)
+    rp = _parse_repr(obj["repr"], location)
     gens = obj["generators"]
     if not isinstance(gens, list) or not gens:
         raise CliError("generators must be a nonempty list", location)
@@ -150,7 +154,8 @@ def _parse_set(obj, w: Wedge, location: str, integer: bool = False) -> UpperSet:
 
 def _parse_fuzzy(obj, w: Wedge, p: Fraction, location: str) -> StepFuzzy:
     _require_keys(obj, {"p", "levels"}, {"levels"}, location)
-    fp = _parse_rat(obj.get("p", p), f"{location}.p")
+    if "p" in obj and _parse_rat(obj["p"], f"{location}.p") != p:
+        raise CliError(f"p must equal the universe's p = {p}, got {obj['p']!r}", f"{location}.p")
     levels = obj["levels"]
     if not isinstance(levels, list) or not levels:
         raise CliError("levels must be a nonempty list", location)
@@ -160,7 +165,7 @@ def _parse_fuzzy(obj, w: Wedge, p: Fraction, location: str) -> StepFuzzy:
         _require_keys(lv, {"alpha", "set"}, {"alpha", "set"}, loc)
         parsed.append((_parse_rat(lv["alpha"], loc), _parse_set(lv["set"], w, f"{loc}.set")))
     try:
-        return StepFuzzy.make(w, fp, parsed)
+        return StepFuzzy.make(w, p, parsed)
     except ValueError as e:
         raise CliError(str(e), location)
 
@@ -213,10 +218,7 @@ def load_instance(path: str) -> Loaded:
     if "repr" in uni:
         if kind == "elemQ":
             raise CliError("repr does not apply to elemQ", "$.universe.repr")
-        try:
-            rp = Repr(uni["repr"])
-        except ValueError:
-            raise CliError(f"repr must be \"discrete\" or \"polytopic\", got {uni['repr']!r}", "$.universe.repr")
+        rp = _parse_repr(uni["repr"], "$.universe.repr")
     p = Fraction(1)
     if "p" in uni:
         if kind != "fuzzyQ":
@@ -382,18 +384,11 @@ def cmd_cancel(args) -> int:
         raise CliError(loaded.family_note or "no Archimedean family available")
     x, y, z = loaded.elements[args.x], loaded.elements[args.y], loaded.elements[args.z]
     horizon = _count(args.horizon, "--horizon", loaded.options, "horizon", 12)
-    # Challenge elements whose comparison with y is undecidable in this
-    # representation pair are skipped rather than failing the whole run.
-    challenges = []
-    for el in loaded.elements.values():
-        try:
-            inst.leq(el, y)
-        except UnsupportedOperation:
-            continue
-        challenges.append(el)
+    # Every element challenges y's closedness; verify_closure skips undecidable ones.
     try:
         record = cancellation_check(
-            inst, x, y, z, args.m, loaded.family, Horizon(horizon), challenges, replay=True
+            inst, x, y, z, args.m, loaded.family, Horizon(horizon),
+            list(loaded.elements.values()), replay=True,
         )
     except UnsupportedOperation as e:
         raise CliError(f"order comparison undecidable for these representations ({e})")

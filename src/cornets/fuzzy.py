@@ -131,17 +131,17 @@ def _cut(f: StepFuzzy, alpha: Fraction) -> Optional[UpperSet]:
     return hit
 
 
-def _merged_alphas(f: StepFuzzy, g: StepFuzzy) -> list[Fraction]:
-    cap = min(f.top, g.top)
-    values = {a for a, _ in f.levels} | {a for a, _ in g.levels}
-    return sorted((a for a in values if a <= cap), reverse=True)
+def _merged_alphas(fs: Sequence[StepFuzzy]) -> list[Fraction]:
+    """The level values of every f in fs up to the lowest top, descending."""
+    cap = min(f.top for f in fs)
+    return sorted({a for f in fs for a, _ in f.levels if a <= cap}, reverse=True)
 
 
 def oplus(f: StepFuzzy, g: StepFuzzy) -> StepFuzzy:
     """Sup-min convolution, computed cut-by-cut as Minkowski sums."""
     if f.wedge != g.wedge:
         raise WedgeMismatch("operands live over different wedges")
-    levels = [(a, msum(_cut(f, a), _cut(g, a))) for a in _merged_alphas(f, g)]
+    levels = [(a, msum(_cut(f, a), _cut(g, a))) for a in _merged_alphas((f, g))]
     # A polytopic cut of several vertices plus a discrete cut of several
     # generators is promoted to its convex hull, which can exceed the sum,
     # so a hull cut above a discrete cut need not nest: make checks those.
@@ -188,10 +188,8 @@ def fuzzy_inf(fs: Sequence[StepFuzzy]) -> StepFuzzy:
     if not fs:
         raise ValueError("need at least one function")
     p = min(f.p for f in fs)
-    cap = min(f.top for f in fs)
-    values = sorted({a for f in fs for a, _ in f.levels if a <= cap}, reverse=True)
     levels = []
-    for a in values:
+    for a in _merged_alphas(fs):
         cuts = [_cut(f, a) for f in fs]
         if any(c is None for c in cuts):
             continue

@@ -23,7 +23,6 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
 
 
@@ -37,9 +36,7 @@ def rat(value) -> Fraction:
         return value
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise ValueError(f"not a rational: {value!r}")
 

@@ -36,7 +36,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Iterable, Optional, Sequence
 
-from .core import ArchFamily, CornetInstance
+from .core import ArchFamily, CornetInstance, UnsupportedOperation
 from .geometry import Vec, _exact, join_orthant, lp_feasible, vdot, vneg, vzero
 from .wedges import Wedge, arch_family, threshold
 
@@ -49,10 +49,6 @@ class Repr(Enum):
 
 
 class WedgeMismatch(ValueError):
-    pass
-
-
-class UnsupportedOperation(ValueError):
     pass
 
 
@@ -87,7 +83,8 @@ class UpperSet:
         return tuple(tuple(Fraction(c, self.den) for c in g) for g in self.nums)
 
     def member(self, p: Vec) -> bool:
-        return _member(self, p)
+        """p in the set, asked of the numerators with p scaled once by den."""
+        return _has(self.wedge, self.repr, self.nums, tuple(_times(c, self.den) for c in p))
 
 
 def discrete(wedge: Wedge, generators: Iterable[Iterable]) -> UpperSet:
@@ -190,11 +187,6 @@ def _poly_member_lp(w: Wedge, gens: Sequence[Vec], p: Vec) -> bool:
     return lp_feasible(ineqs, k, nonneg=True) is not None
 
 
-def _member(A: UpperSet, p: Vec) -> bool:
-    """p in A, asked of A's numerators with p scaled once by A's denominator."""
-    return _has(A.wedge, A.repr, A.nums, tuple(_times(c, A.den) for c in p))
-
-
 def _times(c, den: int):
     """c * den for an int or a Fraction c, as an int when it is one."""
     n, r = divmod(c.numerator * den, c.denominator)
@@ -267,11 +259,6 @@ def subset(A: UpperSet, B: UpperSet) -> bool:
         raise UnsupportedOperation("polytopic within discrete is undecided here")
     _, an, bn = _common(A, B)
     return all(_has(B.wedge, B.repr, bn, g) for g in an)
-
-
-def set_eq(A: UpperSet, B: UpperSet) -> bool:
-    """Equality of denotations, which the canonical form makes ``==``."""
-    return A == B
 
 
 def intersect(A: UpperSet, B: UpperSet) -> UpperSet:
@@ -408,7 +395,7 @@ def make_set_cornet(w: Wedge, rp: Repr = Repr.DISCRETE, integer: bool = False) -
         gens = _sample_gens(w, rng, _MAX_GENS - 1, integer) + [vzero(w.dim)]
         return UpperSet.make(w, rp, gens)
 
-    inst = CornetInstance(
+    return CornetInstance(
         name=f"set{'Z' if integer else 'Q'}(d={w.dim},{rp.value})",
         zero=unit,
         add=msum,
@@ -416,24 +403,19 @@ def make_set_cornet(w: Wedge, rp: Repr = Repr.DISCRETE, integer: bool = False) -
         leq=subset,
         sampler=sampler,
         nonneg_sampler=nonneg_sampler,
-        finite_inf=(
-            finite_intersection
-            if (w.is_orthant and rp is Repr.DISCRETE)
-            else None
-        ),
+        finite_inf=finite_intersection if (w.is_orthant and rp is Repr.DISCRETE) else None,
         hull=convex_hull,
         closure=set_closure,
         serialize=serialize_set,
         arch_exact=_arch_exact_set,
         bounded_exact=_bounded_exact_set,
     )
-    return inst
 
 
-def enumerate_z_subsets(bound: int, w: Optional[Wedge] = None, lo: int = 0) -> list[UpperSet]:
+def enumerate_z_subsets(bound: int, lo: int = 0) -> list[UpperSet]:
     """All nonempty subsets of {lo..bound} as upper sets over (Z, W={0});
     the finite universe used by the counterexample hunt."""
-    w = w or Wedge.zero(1)
+    w = Wedge.zero(1)
     vals = list(range(lo, bound + 1))
     out = []
     for mask in range(1, 1 << len(vals)):
@@ -453,9 +435,9 @@ def order_convex_z(A: UpperSet) -> bool:
     return all(b - a == A.den for a, b in zip(vals, vals[1:]))
 
 
-def interval_z_subsets(bound: int, w: Optional[Wedge] = None, lo: int = 0) -> list[UpperSet]:
+def interval_z_subsets(bound: int, lo: int = 0) -> list[UpperSet]:
     """The interval sets {a..b} within {lo..bound}: the convex subuniverse."""
-    w = w or Wedge.zero(1)
+    w = Wedge.zero(1)
     out = []
     for a in range(lo, bound + 1):
         for b in range(a, bound + 1):

@@ -19,6 +19,7 @@ from cornets.cli import (
     load_instance,
     main,
 )
+from cornets.fuzzy import serialize_fuzzy
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -158,6 +159,24 @@ class TestLoading:
         assert loaded.elements["f"].top == 1
         # p < 1: no Archimedean family, with the reason recorded.
         assert loaded.family is None and "Archimedean" in loaded.family_note
+
+    def test_fuzzy_element_p_must_match_universe(self, tmp_path, capsys):
+        # A top level of 1/2 puts E outside the universe's F^1; its own p of
+        # 1/4 must not let it in.
+        cut = {"repr": "discrete", "generators": [["0"]]}
+        universe = {"kind": "fuzzyQ", "dim": 1, "wedge": "orthant", "p": "1"}
+        E = {"p": "1/4", "levels": [{"alpha": "1/2", "set": cut}]}
+        path = _write(tmp_path, {"universe": universe, "elements": {"E": E, "Y": E}})
+        assert main(["inspect", path, "--element", "E", "--op", "support"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: $.elements.E.p: ")
+        assert main(["cancel", path, "--x", "E", "--y", "Y", "--z", "E"]) == EXIT_INPUT
+        # An equal p, as serialize_fuzzy writes it, still loads.
+        E = {"levels": [{"alpha": "1", "set": cut}]}
+        path = _write(tmp_path, {"universe": universe, "elements": {"E": E}})
+        f = load_instance(path).elements["E"]
+        assert serialize_fuzzy(f)["p"] == "1"
+        path = _write(tmp_path, {"universe": universe, "elements": {"E": serialize_fuzzy(f)}})
+        assert load_instance(path).elements["E"] == f
 
 
 class TestExitCodes:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cornets.core import (
     Horizon,
+    UnsupportedOperation,
     Verdict,
     ablation_hunt,
     cancellation_check,
@@ -35,6 +36,7 @@ from cornets.fuzzy import fuzzy_arch_family, make_fuzzy_cornet
 from cornets.sets import (
     Repr,
     discrete,
+    polytopic,
     enumerate_z_subsets,
     interval_z_subsets,
     make_set_cornet,
@@ -181,6 +183,19 @@ class TestClosure:
         # Maximality failure against a challenge that also sits below x+a.
         assert not verify_closure(SETQ, bigger, A, fam, challenge_set=[bigger]).holds
 
+    def test_verify_closure_skips_undecidable_challenge(self):
+        # A polytopic challenge of two vertices against a discrete y of two
+        # generators: the comparison is undecided, so it is skipped.
+        w = Wedge.orthant(2)
+        fam = set_arch_family(w, [F(1), F(1, 2)])
+        y = discrete(w, [(0, 1), (1, 0)])
+        P = polytopic(w, [(0, 0), (2, -1)])
+        with pytest.raises(UnsupportedOperation):
+            SETQ.leq(P, y)
+        rec = verify_closure(SETQ, y, y, fam, challenge_set=[P])
+        assert rec.verdict is Verdict.VERIFIED_AT_HORIZON
+        assert rec.details["challenges"] == 1
+
     def test_subcornet_suite(self):
         fam = set_arch_family(Wedge.orthant(2), [F(1), F(1, 2)])
         h = Horizon(12, (SETQ.sampler(case_rng(0, 999)),))
@@ -243,13 +258,72 @@ class TestCancellation:
             assert rec.chain == _ref_chain(inst, x, y, z, 2, h)
 
 
+def _ref_decidable_challenges(inst, elements, y):
+    """Reference: the challenges the CLI kept before verify_closure skipped
+    undecidable ones itself, those whose comparison with y is decided."""
+    kept = []
+    for e in elements:
+        try:
+            inst.leq(e, y)
+        except UnsupportedOperation:
+            continue
+        kept.append(e)
+    return kept
+
+
+def _without_challenge_count(rec):
+    """The record with the y-closed challenge count removed, which counts
+    every challenge passed in."""
+    rec.hypotheses["y-closed"].details.pop("challenges")
+    return rec
+
+
+class TestUndecidableChallenges:
+    FAM = set_arch_family(Wedge.orthant(2), [F(1), F(1, 2)])
+    W = Wedge.orthant(2)
+
+    def _both(self, x, y, z, challenges):
+        """cancellation_check on every challenge and on the decidable ones;
+        a raise on one side must be a raise on the other."""
+        h = Horizon(8)
+        ref = _ref_decidable_challenges(SETQ, challenges, y)
+        try:
+            expected = cancellation_check(SETQ, x, y, z, 2, self.FAM, h, ref, replay=True)
+        except UnsupportedOperation:
+            with pytest.raises(UnsupportedOperation):
+                cancellation_check(SETQ, x, y, z, 2, self.FAM, h, challenges, replay=True)
+            return None
+        got = cancellation_check(SETQ, x, y, z, 2, self.FAM, h, challenges, replay=True)
+        assert got.hypotheses["y-closed"].details["challenges"] == len(challenges)
+        assert _without_challenge_count(got) == _without_challenge_count(expected)
+        return got
+
+    def test_polytopic_challenge_against_discrete_y(self):
+        x = discrete(self.W, [(1, 1)])
+        y = discrete(self.W, [(0, 1), (1, 0)])
+        z = discrete(self.W, [(1, 1)])
+        P = polytopic(self.W, [(0, 0), (2, -1)])
+        rec = self._both(x, y, z, [x, y, z, P])
+        assert rec.status == "HypothesisNotMet"
+        assert rec.hypotheses["y-closed"].verdict is Verdict.VERIFIED_AT_HORIZON
+
+    def test_sampled_mixed_representations(self):
+        poly = make_set_cornet(self.W, Repr.POLYTOPIC)
+        for i in range(30):
+            rng = case_rng(11, i)
+            x, y, z, c = (
+                (SETQ if rng.random() < 0.5 else poly).sampler(rng) for _ in range(4)
+            )
+            self._both(x, y, z, [x, y, z, c])
+
+
 def _ref_chain(inst, x, y, z, m, h):
     """Reference: the replayed proof chain with n.x and n.y rebuilt by the
     dot action for every n, which the running sums in cancellation_check
     replaced."""
     chain = []
     for n in range(1, h.n_max + 1):
-        ok = inst.leq(inst.add(inst.dot(n, x), z), inst.add(inst.dot(n, y), z))
+        ok = inst.leq(inst.add(dot_mul(inst, n, x), z), inst.add(dot_mul(inst, n, y), z))
         chain.append((f"n.x+z <= n.y+z @ n={n}", ok))
     mk = m
     while mk <= h.n_max:
@@ -266,7 +340,7 @@ def _ref_hunt(inst, universe, ablate="none", m_cap=4, convexity_test=None):
     if convexity_test is None:
         convexity_test = lambda e: any(is_n_convex(inst, e, n) for n in range(2, m_cap + 1))
     convexish = {id(e): convexity_test(e) for e in elements}
-    closed = {id(e): inst.closure is None or inst.eq(inst.closure(e), e) for e in elements}
+    closed = {id(e): inst.closure is None or inst.closure(e) == e for e in elements}
 
     def y_admits(y):
         if ablate == "convexity":
