@@ -68,7 +68,11 @@ N_MAX_LIMIT = 12
 # linearly in the horizon: of 200 benchmark `cancel` requests (seeds 1 and 2,
 # 2-vCPU Xeon) the slowest takes 3.2 s at 200, and one takes 96 s at 1,000.
 HORIZON_LIMIT = 200
-_LIMITS = {"n_max": N_MAX_LIMIT, "horizon": HORIZON_LIMIT}
+# Building the wedge checks pointedness with up to dim LPs before any case
+# runs: a custom wedge (unit rows and the all-ones row) takes 0.05 s at dim
+# 16, 0.46 s at 32 and 1.8 s at 48 (2-vCPU Xeon), and `laws --cases 1` on an
+# orthant elemQ file 0.23 s at 32 and 3.5 s at 128.  So dim is at most 32.
+_LIMITS = {"n_max": N_MAX_LIMIT, "horizon": HORIZON_LIMIT, "dim": 32}
 # The hunt's scan is cubic in the universe: on a 2-vCPU Xeon, z1 over 0..6
 # (127 sets) takes 0.9 s, and each further integer multiplies that by about
 # 6 (0..7 takes 5.3 s); z1-intervals over 0..14 (120 sets) takes 1.6 s.  So
@@ -212,6 +216,7 @@ def load_instance(path: str) -> Loaded:
     dim = uni["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise CliError(f"dim must be a positive integer, got {dim!r}", "$.universe.dim")
+    _in_range(dim, "$.universe.dim", 1, _LIMITS["dim"], "dim ")
     w = _parse_wedge(uni["wedge"], dim, "$.universe.wedge")
 
     rp = Repr.DISCRETE

@@ -13,6 +13,7 @@ boundedness).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -613,23 +614,18 @@ def ablation_hunt(
     admitted = [(j, y) for j, y in enumerate(elements) if admits(y)]
     sums: list = []  # number -> sum
     number: dict[Any, int] = {}  # sum -> number
-    at: dict[tuple[int, int], int] = {}  # (i, k) -> number of elements[i] + elements[k]
-    order: dict[tuple[int, int], bool] = {}  # (a, b) -> sums[a] <= sums[b]
 
+    @functools.cache
     def plus(i: int, k: int) -> int:
-        a = at.get((i, k))
-        if a is None:
-            s = inst.add(elements[i], elements[k])
-            a = at[i, k] = number.setdefault(s, len(sums))
-            if a == len(sums):
-                sums.append(s)
+        s = inst.add(elements[i], elements[k])
+        a = number.setdefault(s, len(sums))
+        if a == len(sums):
+            sums.append(s)
         return a
 
+    @functools.cache
     def leq(a: int, b: int) -> bool:
-        ok = order.get((a, b))
-        if ok is None:
-            ok = order[a, b] = inst.leq(sums[a], sums[b])
-        return ok
+        return inst.leq(sums[a], sums[b])
 
     for i, x in enumerate(elements):
         for j, y in admitted:

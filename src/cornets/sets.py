@@ -14,12 +14,12 @@ positive common denominator ``den``, reduced so that gcd(den, every
 numerator) == 1; ``generators`` gives them back as Fractions at the API.
 Operations on two sets rescale both to the lcm of their denominators and then
 work on ints only; every decision here is invariant under that scaling.
-Dominance and discrete membership ask ``Wedge.leq``, which takes the orthant
-shortcut itself; only the zero wedge, whose order is equality, is handled
+Dominance, membership and the thresholds read the order through
+``Wedge.values``; only the zero wedge, whose order is equality, is handled
 here (no dominance step, and membership is a lookup among the generators).
-The dominance step is one pass in order of the height ``Wedge.row_sum . g``,
-which strictly increases along the order: each generator is tested only
-against those kept before it, not against all the others.
+The dominance step is one pass in order of the height, the sum of a
+generator's values, which strictly increases along the order: each generator
+is tested only against those kept before it, not against all the others.
 Archimedean and boundedness thresholds reduce to ``wedges.threshold`` on
 pairs of generators, over every wedge; the Archimedean family {-eps . ones} + W
 comes from ``wedges.arch_family``.
@@ -33,11 +33,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, le
 from typing import Iterable, Optional, Sequence
 
 from .core import ArchFamily, CornetInstance, UnsupportedOperation
-from .geometry import Vec, _exact, join_orthant, lp_feasible, vdot, vneg, vzero
+from .geometry import Vec, _exact, join_orthant, lp_feasible, vneg, vzero
 from .wedges import Wedge, arch_family, threshold
 
 _MAX_GENS = 5  # the most generators a sampled set has
@@ -130,20 +130,21 @@ def _canonicalize(w: Wedge, rp: Repr, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
     leaves the vertices of conv(F) + W.  Every step is invariant under a
     positive scaling, so it works alike on ints and Fractions.
 
-    The dominance step visits the generators by increasing height
-    ``w.row_sum . g``, which strictly increases along the order, so every
-    generator below g comes before it; g is tested only against the
-    generators kept so far, since one dropped below g lies above a kept one.
-    The survivors keep the sorted order."""
+    The dominance step reads each generator's ``w.values`` once, kept beside
+    it, and visits the generators by increasing height, the sum of their
+    values, which strictly increases along the order, so every generator
+    below g comes before it; g is tested only against the generators kept so
+    far, since one dropped below g lies above a kept one, and h <= g iff
+    every value of h is at most g's.  The survivors keep the sorted order."""
     gens = tuple(sorted(set(gens)))
     # Over the zero wedge h <= g only for h == g, and set() has already
     # dropped duplicates, so the step would keep every generator.
     if not w.is_zero:
-        kept: list[Vec] = []
-        for g in sorted(gens, key=lambda g: vdot(w.row_sum, g)):
-            if not any(w.leq(h, g) for h in kept):
-                kept.append(g)
-        gens = tuple(sorted(kept))
+        kept: list[tuple[Vec, Vec]] = []
+        for g, v in sorted(((g, w.values(g)) for g in gens), key=lambda gv: sum(gv[1])):
+            if not any(all(map(le, hv, v)) for _, hv in kept):
+                kept.append((g, v))
+        gens = tuple(sorted(g for g, _ in kept))
     # Hull pruning of the polytopic survivors; any two of them are vertices.
     if rp is Repr.DISCRETE or len(gens) < 3:
         return gens
@@ -177,12 +178,11 @@ def _pareto_lower_hull(antichain: Sequence[Vec]) -> tuple[Vec, ...]:
 
 def _poly_member_lp(w: Wedge, gens: Sequence[Vec], p: Vec) -> bool:
     """p in conv(gens) + W via exact feasibility in the convex multipliers,
-    which the engine keeps nonnegative itself."""
+    which the engine keeps nonnegative, one row per entry of ``w.values``."""
     k = len(gens)
     ineqs = [((1,) * k, -1), ((-1,) * k, 1)]  # sum >= 1, sum <= 1
-    for m in w.rows:
-        coeffs = tuple(-vdot(m, g) for g in gens)
-        ineqs.append((coeffs, vdot(m, p)))
+    for col, b in zip(zip(*(w.values(g) for g in gens)), w.values(p)):
+        ineqs.append((tuple(-c for c in col), b))
     # nvars positionally: perfbench's tracer reads it as the second argument.
     return lp_feasible(ineqs, k, nonneg=True) is not None
 
@@ -281,12 +281,12 @@ def is_n_convex_set(A: UpperSet, n: int) -> bool:
 
     A convex set is n-convex.  A canonical DISCRETE set of two or more
     generators is an antichain, and n-convex for no n >= 2.  Over a pointed W
-    the height l = ``W.row_sum`` is strictly positive on W minus 0.  Order the
-    generators by l, ties broken lexicographically; let a, b be the first two.
-    Then s = (n-1)a + b is in n.A but in no n.h + W.  For h = a or b, s - n.h
-    is b - a or (n-1)(a - b), which the antichain keeps out of W.  Any other h
-    has l(h) >= l(b) >= l(s) / n, so s - n.h in W needs s = n.h; then
-    h = a + (b - a) / n has b's height and is lexicographically strictly
+    the height l, the sum of ``W.values``, is strictly positive on W minus 0.
+    Order the generators by l, ties broken lexicographically; let a, b be the
+    first two.  Then s = (n-1)a + b is in n.A but in no n.h + W.  For h = a or
+    b, s - n.h is b - a or (n-1)(a - b), which the antichain keeps out of W.
+    Any other h has l(h) >= l(b) >= l(s) / n, so s - n.h in W needs s = n.h;
+    then h = a + (b - a) / n has b's height and is lexicographically strictly
     between a and b, so b was not second.  Over the zero wedge, s - n.h in W
     means s = n.h outright.  Hence the canonical form (an antichain) and a
     pointed W (a height l) are both needed."""

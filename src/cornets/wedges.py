@@ -9,8 +9,9 @@ iff y - x lies in W.  With star equal to iterated addition this gives the
 simplest cornet, in which every element is n-convex.  ``threshold`` is the one closed form behind every exact
 Archimedean and boundedness decision, for points, sets and fuzzy sets alike,
 and ``arch_family`` the one builder of their Archimedean families, which
-needs ``ones`` strictly interior to W.  Over the orthant, ``leq`` compares
-coordinates and ``threshold`` reads them, without a dot product per row.
+needs ``ones`` strictly interior to W.  ``Wedge.values`` is the one way a
+point is read against the rows, for membership, the order and ``threshold``
+alike; over the orthant these are the coordinates themselves.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .geometry import (
     vdot,
     vneg,
     vscale,
-    vsub,
     vzero,
 )
 
@@ -92,17 +92,13 @@ class Wedge:
     an added zero row, gives the same wedge.
     The fast-path flags ``is_orthant`` / ``is_zero`` are read off the
     canonical rows, so the orthant or zero rows written out in full give the
-    same wedge as ``orthant`` / ``zero``.  ``row_sum`` is the sum of the
-    rows: its dot product with g is a height that strictly increases along
-    the order (h <= g with h != g puts g - h in W, nonzero, and some row of a
-    pointed W is positive there).
+    same wedge as ``orthant`` / ``zero``.
     """
 
     dim: int
     rows: tuple[Vec, ...]
     is_orthant: bool = field(init=False, compare=False)
     is_zero: bool = field(init=False, compare=False)
-    row_sum: Vec = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for m in self.rows:
@@ -116,26 +112,29 @@ class Wedge:
         # automatically over Q: M(n x) >= 0 iff M x >= 0.
         object.__setattr__(self, "is_orthant", self.rows == _canonical(_unit_rows(self.dim)))
         object.__setattr__(self, "is_zero", self.rows == _canonical(_zero_rows(self.dim)))
-        object.__setattr__(self, "row_sum", tuple(map(sum, zip(*self.rows))))
 
-    def contains(self, x: Vec) -> bool:
+    def values(self, x: Vec) -> Vec:
+        """The row dot products m . x, in row order; over the orthant, ``x``
+        itself.  They are linear in x, so x <= y iff every value of x is at
+        most y's, and their sum is a height that strictly increases along the
+        order (h <= g with h != g puts g - h in W, nonzero, and some row of a
+        pointed W is positive there).  Int and Fraction points alike."""
         if len(x) != self.dim:
             raise DimensionMismatch(f"point of dim {len(x)} vs cone dim {self.dim}")
-        return all(vdot(m, x) >= 0 for m in self.rows)
+        if self.is_orthant:
+            return x
+        return tuple(vdot(m, x) for m in self.rows)
+
+    def contains(self, x: Vec) -> bool:
+        return all(v >= 0 for v in self.values(x))
 
     def interior_contains(self, x: Vec) -> bool:
         """True iff x satisfies every row with strict inequality."""
-        if len(x) != self.dim:
-            raise DimensionMismatch(f"point of dim {len(x)} vs cone dim {self.dim}")
-        return all(vdot(m, x) > 0 for m in self.rows)
+        return all(v > 0 for v in self.values(x))
 
     def leq(self, x: Vec, y: Vec) -> bool:
-        """x <= y in the wedge order iff every row's dot product with y - x
-        is nonnegative; over the orthant, coordinatewise.  Int and Fraction
-        points alike."""
-        if self.is_orthant and len(x) == len(y) == self.dim:
-            return all(map(operator.le, x, y))
-        return self.contains(vsub(y, x))
+        """x <= y iff y - x lies in W: every value of x is at most y's."""
+        return all(map(operator.le, self.values(x), self.values(y)))
 
     @staticmethod
     @functools.cache
@@ -165,15 +164,10 @@ def threshold(w: Wedge, u: Vec, x: Vec) -> Optional[int]:
     Row by row, m.u + n (m.x) >= 0 holds for all large n iff m.x > 0, or
     m.x == 0 and m.u >= 0; a row with m.u < 0 < m.x first holds at
     n = ceil(-(m.u) / (m.x)).  Every quantifier "for all large n" over the
-    wedge order reduces to this closed form.  Over the orthant row i is e_i,
-    so m.u and m.x are the coordinates u_i and x_i themselves.
+    wedge order reduces to this closed form, read from ``w.values``.
     """
-    if w.is_orthant and len(u) == len(x) == w.dim:
-        pairs = zip(u, x)
-    else:
-        pairs = ((vdot(m, u), vdot(m, x)) for m in w.rows)
     n0 = 1
-    for a, b in pairs:
+    for a, b in zip(w.values(u), w.values(x)):
         if b < 0 or (b == 0 and a < 0):
             return None
         if a < 0:

@@ -14,6 +14,7 @@ from cornets.cli import (
     EXIT_PASS,
     EXIT_VIOLATION,
     HORIZON_LIMIT,
+    _LIMITS,
     CliError,
     build_parser,
     load_instance,
@@ -120,6 +121,20 @@ class TestLoading:
         assert main(["laws", path]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "input error: $.universe.dim: dim must be a positive integer, got True" in err
+
+    def test_dim_above_limit_rejected(self, tmp_path, capsys):
+        # The wedge's pointedness check, up to dim LPs, runs before any case.
+        over = _LIMITS["dim"] + 1
+        path = _write(tmp_path, {"universe": {"kind": "elemQ", "dim": over, "wedge": "orthant"}})
+        assert main(["laws", path, "--cases", "1"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"input error: $.universe.dim: dim must be <= {_LIMITS['dim']}, got {over}\n"
+
+    def test_dim_at_limit_accepted(self, tmp_path, capsys):
+        dim = _LIMITS["dim"]
+        path = _write(tmp_path, {"universe": {"kind": "elemQ", "dim": dim, "wedge": "orthant"}})
+        assert main(["laws", path, "--cases", "1", "--format", "json"]) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["instance"] == f"elemQ(d={dim})"
 
     def test_setz_constraints(self, tmp_path):
         path = _write(

@@ -134,8 +134,8 @@ def _ref_bounded_exact_set(x, a):
 
 def _ref_dominance(w, gens):
     """Reference: the all-pairs dominance filter, k^2 order tests in the
-    orthant and general branches _canonicalize had before it asked
-    Wedge.leq, which the one pass in height order replaced."""
+    orthant and general branches _canonicalize had before the one pass in
+    height order replaced it, read row by row, not through Wedge.values."""
     gens = tuple(sorted(set(gens)))
     if w.is_orthant:
         return tuple(
@@ -146,7 +146,9 @@ def _ref_dominance(w, gens):
     if w.is_zero:
         return gens
     return tuple(
-        g for g in gens if not any(h != g and w.contains(vsub(g, h)) for h in gens)
+        g
+        for g in gens
+        if not any(h != g and all(vdot(m, vsub(g, h)) >= 0 for m in w.rows) for h in gens)
     )
 
 
