@@ -72,7 +72,9 @@ HORIZON_LIMIT = 200
 # runs: a custom wedge (unit rows and the all-ones row) takes 0.05 s at dim
 # 16, 0.46 s at 32 and 1.8 s at 48 (2-vCPU Xeon), and `laws --cases 1` on an
 # orthant elemQ file 0.23 s at 32 and 3.5 s at 128.  So dim is at most 32.
-_LIMITS = {"n_max": N_MAX_LIMIT, "horizon": HORIZON_LIMIT, "dim": 32}
+# `laws` costs linearly in its cases: a setQ file over that dim-32 wedge takes
+# 1.5 s at --cases 1 and 46 s at 200, the default and the bound.
+_LIMITS = {"n_max": N_MAX_LIMIT, "horizon": HORIZON_LIMIT, "dim": 32, "cases": 200}
 # The hunt's scan is cubic in the universe: on a 2-vCPU Xeon, z1 over 0..6
 # (127 sets) takes 0.9 s, and each further integer multiplies that by about
 # 6 (0..7 takes 5.3 s); z1-intervals over 0..14 (120 sets) takes 1.6 s.  So
@@ -482,8 +484,6 @@ def cmd_inspect(args) -> int:
             raise CliError(f"hull is not applicable to {loaded.kind}", "--op")
         result = inst.serialize(inst.hull(el))
     elif op == "closure":
-        if inst.closure is None:
-            raise CliError(f"closure is not applicable to {loaded.kind}", "--op")
         result = inst.serialize(inst.closure(el))
     elif op == "support":
         if loaded.kind != "fuzzyQ":

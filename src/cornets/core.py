@@ -6,9 +6,9 @@ checked by :func:`check_cornet_laws`.  The iterated-addition action n.x is
 derived here once (:func:`dot_mul`) and shared by every instance.
 
 Everything in this module is generic over a :class:`CornetInstance`; the
-concrete element/set/fuzzy universes plug in their operations and optional
-exact deciders for the semi-decidable predicates (Archimedean-ness,
-boundedness).
+concrete element/set/fuzzy universes plug in their operations, samplers,
+closure map and exact deciders for the semi-decidable predicates
+(Archimedean-ness, boundedness).
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class UnsupportedOperation(ValueError):
 
 @dataclass
 class CornetInstance:
-    """A concrete cornet: carrier operations plus optional extras.
+    """A concrete cornet: carrier operations, samplers and deciders.
 
     ``add``/``star``/``leq``/``zero`` are the signature.  The generic layer
     relies on this contract: ``==`` is equality of elements (canonical
@@ -98,7 +98,12 @@ class CornetInstance:
     its sums in a dict); n.x is :func:`dot_mul`; and a comparison undecided
     for the representations of its operands raises
     :class:`UnsupportedOperation`.  ``leq`` both ways is used as a
-    cross-check in the test-suite, not here.
+    cross-check in the test-suite, not here.  The samplers (``nonneg_sampler``
+    draws elements >= 0), ``closure``, ``serialize`` and the exact deciders
+    are required, since every model supplies them; an exact decider returns
+    (holds, threshold n0), or None to leave "for all large n" to the horizon
+    search.  ``hull`` exists only for sets and ``finite_inf`` only over the
+    orthant in discrete form, so both may be None.
     """
 
     name: str
@@ -106,16 +111,14 @@ class CornetInstance:
     add: Callable[[Any, Any], Any]
     star: Callable[[int, Any], Any]
     leq: Callable[[Any, Any], bool]
-    sampler: Optional[Callable[[random.Random], Any]] = None
-    nonneg_sampler: Optional[Callable[[random.Random], Any]] = None
+    sampler: Callable[[random.Random], Any]
+    nonneg_sampler: Callable[[random.Random], Any]
+    closure: Callable[[Any], Any]
+    serialize: Callable[[Any], Any]
+    arch_exact: Callable[[Any, Any], Optional[tuple[bool, Optional[int]]]]
+    bounded_exact: Callable[[Any, Any], Optional[tuple[bool, Optional[int]]]]
     finite_inf: Optional[Callable[[Sequence[Any]], Any]] = None
     hull: Optional[Callable[[Any], Any]] = None
-    closure: Optional[Callable[[Any], Any]] = None
-    serialize: Callable[[Any], Any] = repr
-    # Exact deciders for "for all large n": (holds, threshold n0), or None
-    # when the answer is left to the horizon search.
-    arch_exact: Optional[Callable[[Any, Any], Optional[tuple[bool, Optional[int]]]]] = None
-    bounded_exact: Optional[Callable[[Any, Any], Optional[tuple[bool, Optional[int]]]]] = None
 
 
 def dot_mul(inst: CornetInstance, n: int, x):
@@ -138,17 +141,6 @@ def dot_mul(inst: CornetInstance, n: int, x):
 def case_rng(seed: int, index: int) -> random.Random:
     """Deterministic per-case RNG: case i draws the same elements in every run."""
     return random.Random(f"{seed}:{index}")
-
-
-def _sample_case(inst: CornetInstance, rng: random.Random) -> dict:
-    s = inst.sampler
-    if s is None:
-        raise ValueError(f"instance {inst.name} has no sampler")
-    case = {"x": s(rng), "y": s(rng), "z": s(rng)}
-    if inst.nonneg_sampler is not None:
-        case["p"] = inst.nonneg_sampler(rng)
-        case["q"] = inst.nonneg_sampler(rng)
-    return case
 
 
 def check_cornet_laws(
@@ -180,8 +172,8 @@ def check_cornet_laws(
     add, star, leq = inst.add, inst.star, inst.leq
     for i in range(cases):
         rng = case_rng(seed, i)
-        c = _sample_case(inst, rng)
-        x, y, z = c["x"], c["y"], c["z"]
+        x, y, z = inst.sampler(rng), inst.sampler(rng), inst.sampler(rng)
+        p, q = inst.nonneg_sampler(rng), inst.nonneg_sampler(rng)
         ser = lambda *els: tuple(inst.serialize(e) for e in els)
 
         xy = add(x, y)
@@ -197,17 +189,14 @@ def check_cornet_laws(
             reports["order-antisymmetry"].record(ser(x, y))
 
         # Comparable chain x <= b <= c built from nonnegative perturbations.
-        p = c.get("p")
-        q = c.get("q")
-        if p is not None:
-            b = add(x, p)
-            cc = add(b, q)
-            if not (leq(x, b) and leq(b, cc)):
-                reports["translation-monotonicity"].record(ser(x, p, q))
-            elif not leq(x, cc):
-                reports["order-transitivity"].record(ser(x, b, cc))
-            if not leq(add(x, z), add(b, z)):
-                reports["translation-monotonicity"].record(ser(x, b, z))
+        b = add(x, p)
+        cc = add(b, q)
+        if not (leq(x, b) and leq(b, cc)):
+            reports["translation-monotonicity"].record(ser(x, p, q))
+        elif not leq(x, cc):
+            reports["order-transitivity"].record(ser(x, b, cc))
+        if not leq(add(x, z), add(b, z)):
+            reports["translation-monotonicity"].record(ser(x, b, z))
         if leq(x, y) and leq(y, z) and not leq(x, z):
             reports["order-transitivity"].record(ser(x, y, z))
 
@@ -224,9 +213,8 @@ def check_cornet_laws(
                         reports["star-iii-superadditivity"].record((n, m) + ser(x))
             if sxy[n] != add(sx[n], sy[n]):
                 reports["star-ii-distributivity"].record((n,) + ser(x, y))
-            if p is not None:
-                if not leq(sx[n], star(n, b)):
-                    reports["star-iv-forward"].record((n,) + ser(x, b))
+            if not leq(sx[n], star(n, b)):
+                reports["star-iv-forward"].record((n,) + ser(x, b))
             if leq(sx[n], sy[n]) and not leq(x, y):
                 reports["star-iv-reverse"].record((n,) + ser(x, y))
         if sx[1] != x:
@@ -287,18 +275,17 @@ def convexity_semigroup_check(
         for m in cx:
             if n * m <= n_max and n * m not in cx:
                 report.record(("product escapes C_x", n, m, inst.serialize(x)))
-    if inst.sampler is not None:
-        for i in range(cases):
-            rng = case_rng(seed, i)
-            a, b = inst.sampler(rng), inst.sampler(rng)
-            for n in range(2, n_max + 1):
-                if is_n_convex(inst, a, n) and is_n_convex(inst, b, n):
-                    if not is_n_convex(inst, inst.add(a, b), n):
-                        report.record(("sum escapes C^n", n, inst.serialize(a), inst.serialize(b)))
-                if is_n_convex(inst, a, n):
-                    m = 2 + (i % max(1, n_max - 1))
-                    if not is_n_convex(inst, inst.star(m, a), n):
-                        report.record(("star escapes C^n", n, m, inst.serialize(a)))
+    for i in range(cases):
+        rng = case_rng(seed, i)
+        a, b = inst.sampler(rng), inst.sampler(rng)
+        for n in range(2, n_max + 1):
+            if is_n_convex(inst, a, n) and is_n_convex(inst, b, n):
+                if not is_n_convex(inst, inst.add(a, b), n):
+                    report.record(("sum escapes C^n", n, inst.serialize(a), inst.serialize(b)))
+            if is_n_convex(inst, a, n):
+                m = 2 + (i % max(1, n_max - 1))
+                if not is_n_convex(inst, inst.star(m, a), n):
+                    report.record(("star escapes C^n", n, m, inst.serialize(a)))
     return report
 
 
@@ -310,7 +297,7 @@ def _eventually(
     inst: CornetInstance,
     x,
     items: Sequence[Any],
-    exact: Optional[Callable[[Any, Any], Optional[tuple[bool, Optional[int]]]]],
+    exact: Callable[[Any, Any], Optional[tuple[bool, Optional[int]]]],
     holds_at: Callable[[Any, int], bool],
     n_max: int,
     refuting_key: str,
@@ -321,7 +308,7 @@ def _eventually(
     details: dict = {"n0": {}}
     all_exact = True
     for idx, item in enumerate(items):
-        res = exact(x, item) if exact is not None else None
+        res = exact(x, item)
         refuted = Verdict.ANALYTICALLY_REFUTED
         if res is None:
             all_exact = False
@@ -440,10 +427,8 @@ def closure_props_suite(
     n_max: int = 6,
 ) -> list[LawReport]:
     """The closure-operator property suite (extensivity through convexity
-    preservation) on sampled elements; requires inst.closure.  Boundedness
-    (closure-viii) is probed at horizon ``h``."""
-    if inst.closure is None:
-        raise ValueError(f"instance {inst.name} exposes no closure map")
+    preservation) on sampled elements.  Boundedness (closure-viii) is probed
+    at horizon ``h``."""
     cl = inst.closure
     names = [
         "closure-i-extensive",
@@ -464,7 +449,7 @@ def closure_props_suite(
         cx, cy = cl(x), cl(y)
         if not inst.leq(x, cx):
             reports["closure-i-extensive"].record(inst.serialize(x))
-        big = inst.add(x, y) if inst.nonneg_sampler is None else inst.add(x, inst.nonneg_sampler(rng))
+        big = inst.add(x, inst.nonneg_sampler(rng))
         if inst.leq(x, big) and not inst.leq(cx, cl(big)):
             reports["closure-ii-monotone"].record((inst.serialize(x), inst.serialize(big)))
         if cl(cx) != cx:
@@ -502,11 +487,10 @@ def subcornet_closure_suite(
     for i in range(cases):
         rng = case_rng(seed, i)
         a = fam.elements[i % len(fam.elements)]
-        if inst.nonneg_sampler is not None:
-            y = inst.nonneg_sampler(rng)
-            if is_archimedean(inst, a, h).holds:
-                if not is_archimedean(inst, inst.add(a, y), big_h).holds:
-                    arch_report.record((inst.serialize(a), inst.serialize(y)))
+        y = inst.nonneg_sampler(rng)
+        if is_archimedean(inst, a, h).holds:
+            if not is_archimedean(inst, inst.add(a, y), big_h).holds:
+                arch_report.record((inst.serialize(a), inst.serialize(y)))
         x, y = inst.sampler(rng), inst.sampler(rng)
         m = 2 + (i % 4)
         if is_A_bounded(inst, x, fam, h).holds and is_A_bounded(inst, y, fam, h).holds:
@@ -553,7 +537,8 @@ def cancellation_check(
         "y-m-convex": is_n_convex(inst, y, m),
     }
     hyp_ok = hyp["z-bounded"].holds and hyp["y-closed"].holds and hyp["y-m-convex"]
-    premise = inst.leq(inst.add(x, z), inst.add(y, z))
+    nxz, nyz = inst.add(x, z), inst.add(y, z)  # running sums n.x + z and n.y + z
+    premise = inst.leq(nxz, nyz)
     if not hyp_ok:
         return CancellationRecord("HypothesisNotMet", hyp, premise)
     if not premise:
@@ -561,8 +546,8 @@ def cancellation_check(
     conclusion = inst.leq(x, y)
     chain = []
     if replay or not conclusion:
-        nxz, nyz = z, z  # running sums n.x + z and n.y + z
-        for n in range(1, h.n_max + 1):
+        chain.append(("n.x+z <= n.y+z @ n=1", premise))  # the link at n = 1 is the premise
+        for n in range(2, h.n_max + 1):
             nxz, nyz = inst.add(nxz, x), inst.add(nyz, y)
             chain.append((f"n.x+z <= n.y+z @ n={n}", inst.leq(nxz, nyz)))
         mk = m
@@ -600,7 +585,7 @@ def ablation_hunt(
         convexity_test = lambda e: any(is_n_convex(inst, e, n) for n in range(2, 5))
 
     def closed(e) -> bool:
-        return inst.closure is None or inst.closure(e) == e
+        return inst.closure(e) == e
 
     admits = {
         "convexity": lambda y: not convexity_test(y),
@@ -674,10 +659,9 @@ def hull_props_check(
         if not inst.leq(hull(inst.star(m, x)), inst.star(m, hx)):
             reports["hull-star-compatible"].record((m, inst.serialize(x)))
         # Minimality against constructed convex majorants of x.
-        if inst.nonneg_sampler is not None:
-            z = hull(inst.add(x, inst.nonneg_sampler(rng)))
-            if inst.leq(x, z) and not inst.leq(hx, z):
-                reports["hull-minimal"].record((inst.serialize(x), inst.serialize(z)))
+        z = hull(inst.add(x, inst.nonneg_sampler(rng)))
+        if inst.leq(x, z) and not inst.leq(hx, z):
+            reports["hull-minimal"].record((inst.serialize(x), inst.serialize(z)))
     return [reports[n] for n in names]
 
 

@@ -136,6 +136,23 @@ class TestLoading:
         assert main(["laws", path, "--cases", "1", "--format", "json"]) == EXIT_PASS
         assert json.loads(capsys.readouterr().out)["instance"] == f"elemQ(d={dim})"
 
+    def test_cases_above_limit_rejected(self, tmp_path, capsys):
+        over = _LIMITS["cases"] + 1
+        inst = {"universe": {"kind": "elemQ", "dim": 1, "wedge": "orthant"}, "options": {}}
+        path = _write(tmp_path, inst)
+        assert main(["laws", path, "--cases", str(over)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: --cases: must be <= {_LIMITS['cases']}, got {over}\n"
+        inst["options"]["cases"] = over
+        path = _write(tmp_path, inst)
+        assert main(["laws", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"input error: $.options.cases: cases must be <= {_LIMITS['cases']}, got {over}\n"
+
+    def test_cases_at_limit_accepted(self, tmp_path, capsys):
+        path = _write(tmp_path, {"universe": {"kind": "elemQ", "dim": 1, "wedge": "orthant"}})
+        assert main(["laws", path, "--cases", str(_LIMITS["cases"]), "--format", "json"]) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["params"]["cases"] == _LIMITS["cases"]
+
     def test_setz_constraints(self, tmp_path):
         path = _write(
             tmp_path,
@@ -417,6 +434,27 @@ class TestInspect:
         path = _write(tmp_path, inst)
         assert main(["inspect", path, "--element", "T", "--op", "hull", "--format", "json"]) == EXIT_PASS
         assert json.loads(capsys.readouterr().out)["result"] == {"repr": "discrete", "generators": [["0", "0"]]}
+
+    @pytest.mark.parametrize("kind", ["elemQ", "setQ", "setZ", "fuzzyQ"])
+    def test_closure_leaves_element_unchanged(self, tmp_path, capsys, kind):
+        # Every built-in closure is the identity on the elements a file can name.
+        if kind == "setZ":
+            inst = {
+                "universe": {"kind": "setZ", "dim": 1, "wedge": "zero"},
+                "elements": {"X": {"repr": "discrete", "generators": [["0"], ["2"]]}},
+            }
+        else:
+            inst = _kind_file(kind, "orthant")
+        path = _write(tmp_path, inst)
+        loaded = load_instance(path)
+        assert main(["inspect", path, "--element", "X", "--op", "closure", "--format", "json"]) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["result"] == loaded.inst.serialize(loaded.elements["X"])
+
+    @pytest.mark.parametrize("kind", ["elemQ", "fuzzyQ"])
+    def test_hull_not_applicable(self, tmp_path, capsys, kind):
+        path = _write(tmp_path, _kind_file(kind, "orthant"))
+        assert main(["inspect", path, "--element", "X", "--op", "hull"]) == EXIT_INPUT
+        assert f"input error: --op: hull is not applicable to {kind}" in capsys.readouterr().err
 
     def test_convex(self, setq_path, capsys):
         main(["inspect", setq_path, "--element", "A", "--op", "convex:2", "--format", "json"])

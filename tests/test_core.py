@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cornets.core import (
+    CornetInstance,
     Horizon,
     UnsupportedOperation,
     Verdict,
@@ -57,6 +58,17 @@ def dot_mul_naive(inst, n: int, x):
     for _ in range(n - 1):
         acc = inst.add(acc, x)
     return acc
+
+
+class TestCornetInstance:
+    @pytest.mark.parametrize(
+        "name", ["sampler", "nonneg_sampler", "closure", "serialize", "arch_exact", "bounded_exact"]
+    )
+    def test_hooks_are_required(self, name):
+        fields = {f.name: getattr(ELEM, f.name) for f in dataclasses.fields(ELEM)}
+        del fields[name]
+        with pytest.raises(TypeError, match=name):
+            CornetInstance(**fields)
 
 
 class TestDotMul:
@@ -377,7 +389,7 @@ class TestAblationHunt:
         st.integers(-1, 1),
         st.integers(-1, 3),
         st.sampled_from(["none", "convexity", "closedness", "boundedness"]),
-        st.sampled_from(["identity", "absent", "interval-hull"]),
+        st.sampled_from(["identity", "interval-hull"]),
         st.sampled_from([order_convex_z, None]),
         st.data(),
     )
@@ -387,7 +399,7 @@ class TestAblationHunt:
         # no y; an interval-hull closure makes that ablation scan too.
         inst = dataclasses.replace(
             self.INST,
-            closure={"identity": self.INST.closure, "absent": None, "interval-hull": self._interval_hull}[closure],
+            closure={"identity": self.INST.closure, "interval-hull": self._interval_hull}[closure],
         )
         # Sub-universes move the first hit off the first few z; the scan sorts
         # its universe, so the order it is given in is free.
