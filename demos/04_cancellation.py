@@ -20,7 +20,6 @@ from cornets import (
     enumerate_z_subsets,
     make_set_cornet,
     order_convex_z,
-    polytopic,
     set_arch_family,
 )
 
@@ -33,7 +32,7 @@ print("== a verified cancellation instance over upper sets ==")
 y = discrete(w, [(0, 0)])  # the wedge itself: closed and m-convex for all m
 x = discrete(w, [(1, 0)])
 z = discrete(w, [(0, 2), (2, 0)])
-rec = cancellation_check(inst, x, y, z, m=2, fam=fam, h=h, replay=True)
+rec = cancellation_check(inst, x, y, z, m=2, fam=fam, h=h)
 print("status:", rec.status)
 print("premise x+z <= y+z:", rec.premise, "| conclusion x <= y:", rec.conclusion)
 print("replayed proof chain:")

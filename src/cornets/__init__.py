@@ -28,8 +28,6 @@ from .core import (
     is_A_bounded,
     is_archimedean,
     is_n_convex,
-    is_nonnegative,
-    n_continuity_probe,
     subcornet_closure_suite,
     verify_closure,
 )
@@ -40,7 +38,6 @@ from .fuzzy import (
     chi_embed,
     fuzzy_arch_family,
     fuzzy_closure,
-    fuzzy_inf,
     is_n_quasiconcave,
     leq_fuzzy,
     level_cut,
@@ -49,7 +46,7 @@ from .fuzzy import (
     oplus,
     support,
 )
-from .geometry import DimensionMismatch, Vec, divide, lp_feasible, rat, vec
+from .geometry import DimensionMismatch, Vec, lp_feasible, rat
 from .sets import (
     Repr,
     UpperSet,
@@ -57,7 +54,6 @@ from .sets import (
     convex_hull,
     discrete,
     enumerate_z_subsets,
-    finite_intersection,
     intersect,
     interval_z_subsets,
     is_n_convex_set,

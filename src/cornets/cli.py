@@ -102,6 +102,11 @@ def _require_keys(obj: dict, allowed: set, required: set, location: str) -> None
 
 
 def _parse_rat(value, location: str) -> Fraction:
+    # Fraction("1e1000000") alone takes a third of a second, growing about
+    # 55 times per decade of the exponent, and "1e5000" parses to an int too
+    # long to print; so only integers, p/q and decimals are read.
+    if isinstance(value, str) and "e" in value.lower():
+        raise CliError(f"bad rational {value!r} (exponent notation is not accepted)", location)
     try:
         return rat(value)
     except (ValueError, ZeroDivisionError) as e:
@@ -119,12 +124,12 @@ def _parse_wedge(spec, dim: int, location: str) -> Wedge:
             rows = spec["rows"]
             if not isinstance(rows, list) or not rows:
                 raise CliError("rows must be a nonempty list", location)
-            parsed = [
-                [_parse_rat(c, f"{location}.rows[{i}]") for c in row]
-                for i, row in enumerate(rows)
-            ]
-            if any(len(r) != dim for r in parsed):
-                raise CliError(f"every row must have {dim} entries", location)
+            parsed = []
+            for i, row in enumerate(rows):
+                loc = f"{location}.rows[{i}]"
+                if not isinstance(row, list) or len(row) != dim:
+                    raise CliError(f"row must be a list of {dim} rationals", loc)
+                parsed.append([_parse_rat(c, loc) for c in row])
             return Wedge.from_rows(parsed)
     except NotPointedError as e:
         raise CliError(str(e), location)
@@ -208,6 +213,8 @@ def load_instance(path: str) -> Loaded:
         raise CliError(f"cannot read instance file ({e})", path)
     except json.JSONDecodeError as e:
         raise CliError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}", path)
+    except ValueError as e:  # an integer literal past int's digit limit, or bytes not UTF-8
+        raise CliError(f"invalid JSON ({e})", path)
     _require_keys(data, {"universe", "elements", "family", "options"}, {"universe"}, "$")
 
     uni = data["universe"]
@@ -309,7 +316,7 @@ def _law_json(r: LawReport) -> dict:
         "cases": r.cases,
         "passed": r.passed,
         "violations": r.violations,
-        "notes": r.notes,
+        "notes": [],  # no suite writes notes; the key keeps the report's bytes
     }
 
 
@@ -395,7 +402,7 @@ def cmd_cancel(args) -> int:
     try:
         record = cancellation_check(
             inst, x, y, z, args.m, loaded.family, Horizon(horizon),
-            list(loaded.elements.values()), replay=True,
+            list(loaded.elements.values()),
         )
     except UnsupportedOperation as e:
         raise CliError(f"order comparison undecidable for these representations ({e})")

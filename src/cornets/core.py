@@ -52,7 +52,6 @@ class LawReport:
     law: str
     cases: int
     violations: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -102,8 +101,7 @@ class CornetInstance:
     draws elements >= 0), ``closure``, ``serialize`` and the exact deciders
     are required, since every model supplies them; an exact decider returns
     (holds, threshold n0), or None to leave "for all large n" to the horizon
-    search.  ``hull`` exists only for sets and ``finite_inf`` only over the
-    orthant in discrete form, so both may be None.
+    search.  ``hull`` exists only for sets, so it alone may be None.
     """
 
     name: str
@@ -117,7 +115,6 @@ class CornetInstance:
     serialize: Callable[[Any], Any]
     arch_exact: Callable[[Any, Any], Optional[tuple[bool, Optional[int]]]]
     bounded_exact: Callable[[Any, Any], Optional[tuple[bool, Optional[int]]]]
-    finite_inf: Optional[Callable[[Sequence[Any]], Any]] = None
     hull: Optional[Callable[[Any], Any]] = None
 
 
@@ -287,10 +284,6 @@ def convexity_semigroup_check(
                 if not is_n_convex(inst, inst.star(m, a), n):
                     report.record(("star escapes C^n", n, m, inst.serialize(a)))
     return report
-
-
-def is_nonnegative(inst: CornetInstance, x) -> bool:
-    return inst.leq(inst.zero, x)
 
 
 def _eventually(
@@ -519,15 +512,15 @@ def cancellation_check(
     fam: ArchFamily,
     h: Horizon,
     challenge_set: Sequence[Any] = (),
-    replay: bool = False,
 ) -> CancellationRecord:
     """Verify an instance of the generalized cancellation statement:
     with z family-bounded and y family-closed and m-convex (m >= 2),
     x + z <= y + z forces x <= y.
 
-    A conclusion failure with hypotheses verified would indicate an
-    implementation bug, and the optional replay localizes the first broken
-    link of the proof chain in that event.
+    Once the hypotheses and the premise hold, the proof chain is replayed:
+    n.x+z <= n.y+z for n up to the horizon, then m^k*x+z <= m^k*y+z.  A
+    conclusion failure with hypotheses verified would indicate an
+    implementation bug, and the chain localizes its first broken link.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -544,17 +537,15 @@ def cancellation_check(
     if not premise:
         return CancellationRecord("PremiseNotMet", hyp, premise)
     conclusion = inst.leq(x, y)
-    chain = []
-    if replay or not conclusion:
-        chain.append(("n.x+z <= n.y+z @ n=1", premise))  # the link at n = 1 is the premise
-        for n in range(2, h.n_max + 1):
-            nxz, nyz = inst.add(nxz, x), inst.add(nyz, y)
-            chain.append((f"n.x+z <= n.y+z @ n={n}", inst.leq(nxz, nyz)))
-        mk = m
-        while mk <= h.n_max:
-            ok = inst.leq(inst.add(inst.star(mk, x), z), inst.add(inst.star(mk, y), z))
-            chain.append((f"m^k*x+z <= m^k*y+z @ {mk}", ok))
-            mk *= m
+    chain = [("n.x+z <= n.y+z @ n=1", premise)]  # the link at n = 1 is the premise
+    for n in range(2, h.n_max + 1):
+        nxz, nyz = inst.add(nxz, x), inst.add(nyz, y)
+        chain.append((f"n.x+z <= n.y+z @ n={n}", inst.leq(nxz, nyz)))
+    mk = m
+    while mk <= h.n_max:
+        ok = inst.leq(inst.add(inst.star(mk, x), z), inst.add(inst.star(mk, y), z))
+        chain.append((f"m^k*x+z <= m^k*y+z @ {mk}", ok))
+        mk *= m
     status = "Verified" if conclusion else "ConclusionFailed"
     return CancellationRecord(status, hyp, premise, conclusion, chain)
 
@@ -663,28 +654,3 @@ def hull_props_check(
         if inst.leq(x, z) and not inst.leq(hx, z):
             reports["hull-minimal"].record((inst.serialize(x), inst.serialize(z)))
     return [reports[n] for n in names]
-
-
-def n_continuity_probe(
-    inst: CornetInstance, n: int, families: Sequence[Sequence[Any]]
-) -> LawReport:
-    """Compare inf(n*H) with n*inf(H) on finite families.
-
-    Strict gaps are recorded as findings, not failures: the identity is a
-    hypothesis on the structure, not an asserted law.
-    """
-    if inst.finite_inf is None:
-        raise ValueError(f"instance {inst.name} exposes no finite_inf")
-    report = LawReport("n-continuity-probe", len(families))
-    equal = 0
-    for hfam in families:
-        lhs = inst.finite_inf([inst.star(n, hh) for hh in hfam])
-        rhs = inst.star(n, inst.finite_inf(list(hfam)))
-        if lhs == rhs:
-            equal += 1
-        else:
-            report.notes.append(
-                ("gap", [inst.serialize(hh) for hh in hfam], inst.serialize(lhs), inst.serialize(rhs))
-            )
-    report.notes.insert(0, ("equalities", equal, "of", len(families)))
-    return report

@@ -7,16 +7,15 @@ convolution is attained and every operation here is exact and levelwise.
 The Archimedean family, characteristic functions of the set family, exists
 only at p = 1 and comes from ``wedges.arch_family``.
 ``StepFuzzy.make`` and ``level_cut`` validate what they are given, for
-callers outside the package.  ``oplus``, ``odot`` and ``fuzzy_inf`` build
-levels that are valid by construction (descending values, nested cuts, top
-at least p), so they skip that validation: ``oplus`` and ``fuzzy_inf`` only
-merge equal adjacent cuts, and ``odot``, whose scaling is injective, not
-even that.  The one exception is an ``oplus`` whose sum has a polytopic cut
-above a discrete one of several generators: ``msum`` promotes the sum of a
-polytopic cut of several vertices and a discrete cut of several generators
-to its hull, so those cuts need not nest, and ``make`` checks them.  ``oplus``, ``leq_fuzzy``
-and ``fuzzy_inf`` look up cuts at level values they already hold, without
-parsing them again.
+callers outside the package.  ``oplus`` and ``odot`` build levels that are
+valid by construction (descending values, nested cuts, top at least p), so
+they skip that validation: ``oplus`` only merges equal adjacent cuts, and
+``odot``, whose scaling is injective, not even that.  The one exception is an
+``oplus`` whose sum has a polytopic cut above a discrete one of several
+generators: ``msum`` promotes the sum of a polytopic cut of several vertices
+and a discrete cut of several generators to its hull, so those cuts need not
+nest, and ``make`` checks them.  ``oplus`` and ``leq_fuzzy`` look up cuts at
+level values they already hold, without parsing them again.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .sets import (
     _bounded_exact_set,
     _family_point,
     _sample_gens,
-    finite_intersection,
     is_n_convex_set,
     msum,
     phi_embed,
@@ -182,23 +180,6 @@ def is_n_quasiconcave(f: StepFuzzy, n: int) -> bool:
     return all(is_n_convex_set(cut, n) for _, cut in f.levels)
 
 
-def fuzzy_inf(fs: Sequence[StepFuzzy]) -> StepFuzzy:
-    """Pointwise minimum of finitely many step functions (orthant DISCRETE
-    cuts); levelwise this intersects cuts."""
-    if not fs:
-        raise ValueError("need at least one function")
-    p = min(f.p for f in fs)
-    levels = []
-    for a in _merged_alphas(fs):
-        cuts = [_cut(f, a) for f in fs]
-        if any(c is None for c in cuts):
-            continue
-        levels.append((a, finite_intersection(cuts)))
-    if not levels or levels[0][0] < p:
-        raise ValueError("family is not lower bounded in F^p: sup drops below p")
-    return _trusted(fs[0].wedge, p, levels)
-
-
 def fuzzy_arch_family(w: Wedge, epsilons: Sequence, p=1) -> ArchFamily:
     """Characteristic functions of {-eps * ones} + W; only the p = 1 cornet
     has Archimedean elements at all."""
@@ -273,7 +254,6 @@ def make_fuzzy_cornet(w: Wedge, p=1, cut_repr: Repr = Repr.DISCRETE) -> CornetIn
         leq=leq_fuzzy,
         sampler=lambda rng: _sample_fuzzy(w, p, cut_repr, rng, False),
         nonneg_sampler=lambda rng: _sample_fuzzy(w, p, cut_repr, rng, True),
-        finite_inf=fuzzy_inf if (w.is_orthant and cut_repr is Repr.DISCRETE) else None,
         closure=fuzzy_closure,
         serialize=serialize_fuzzy,
         arch_exact=arch_exact,

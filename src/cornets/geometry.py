@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 
@@ -39,10 +39,6 @@ def rat(value) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise ValueError(f"not a rational: {value!r}")
-
-
-def vec(coords: Iterable) -> Vec:
-    return tuple(rat(c) for c in coords)
 
 
 def _check_dims(u: Vec, v: Vec) -> None:
@@ -78,13 +74,6 @@ def vdot(u: Vec, v: Vec) -> Fraction:
 
 def vzero(dim: int) -> Vec:
     return (Fraction(0),) * dim
-
-
-def divide(x: Vec, n: int) -> Vec:
-    """Coordinatewise exact division; the unique y with n*y == x over Q."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return tuple(a / n for a in x)
 
 
 def join_orthant(u: Vec, v: Vec) -> Vec:

@@ -305,13 +305,6 @@ def phi_embed(w: Wedge, x: Vec) -> UpperSet:
     return UpperSet.make(w, Repr.DISCRETE, [x])
 
 
-def finite_intersection(sets: Sequence[UpperSet]) -> UpperSet:
-    acc = sets[0]
-    for s in sets[1:]:
-        acc = intersect(acc, s)
-    return acc
-
-
 def set_arch_family(w: Wedge, epsilons: Sequence) -> ArchFamily:
     """The sets {-eps * ones} + W, halved by the witness."""
     return arch_family(w, epsilons, lambda p: phi_embed(w, vneg(p)), _family_point)
@@ -403,7 +396,6 @@ def make_set_cornet(w: Wedge, rp: Repr = Repr.DISCRETE, integer: bool = False) -
         leq=subset,
         sampler=sampler,
         nonneg_sampler=nonneg_sampler,
-        finite_inf=finite_intersection if (w.is_orthant and rp is Repr.DISCRETE) else None,
         hull=convex_hull,
         closure=set_closure,
         serialize=serialize_set,

@@ -242,9 +242,6 @@ def make_elem_cornet(w: Wedge) -> CornetInstance:
         n0 = threshold(w, vneg(x), a)
         return n0 is not None, n0
 
-    def finite_inf(xs: Sequence[Vec]) -> Vec:
-        return tuple(min(x[i] for x in xs) for i in range(w.dim))
-
     return CornetInstance(
         name=f"elemQ(d={w.dim})",
         zero=vzero(w.dim),
@@ -253,7 +250,6 @@ def make_elem_cornet(w: Wedge) -> CornetInstance:
         leq=w.leq,
         sampler=lambda rng: _elem_sampler(w, rng),
         nonneg_sampler=lambda rng: _elem_nonneg_sampler(w, rng),
-        finite_inf=finite_inf if w.is_orthant else None,
         closure=lambda x: x,
         serialize=lambda x: [str(c) for c in x],
         arch_exact=arch_exact,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -210,11 +211,70 @@ class TestLoading:
         path = _write(tmp_path, {"universe": universe, "elements": {"E": serialize_fuzzy(f)}})
         assert load_instance(path).elements["E"] == f
 
+    @pytest.mark.parametrize(
+        "rows, bad",
+        [([5, 6], 0), (["12", "21"], 0), ([["1", "0"], ["1"]], 1)],
+        ids=["numbers", "strings", "short"],
+    )
+    def test_wedge_rows_must_be_lists(self, tmp_path, capsys, rows, bad):
+        # A number row must not crash, nor a string row be read digit by digit.
+        path = _write(tmp_path, {"universe": {"kind": "elemQ", "dim": 2, "wedge": {"rows": rows}}})
+        assert main(["laws", path, "--cases", "1"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"input error: $.universe.wedge.rows[{bad}]: row must be a list of 2 rationals\n"
+
+    @pytest.mark.parametrize("value", ["1e5000", "1E3", "2.5e-1"])
+    def test_exponent_notation_rejected(self, tmp_path, capsys, value):
+        # "1e5000" parses to an int too long to print, and larger exponents
+        # take minutes to parse, so no exponent is read at all.
+        inst = {
+            "universe": {"kind": "setQ", "dim": 1, "wedge": "orthant"},
+            "elements": {"A": {"repr": "discrete", "generators": [[value]]}},
+        }
+        path = _write(tmp_path, inst)
+        assert main(["inspect", path, "--element", "A", "--op", "closure"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == (
+            f"input error: $.elements.A.generators[0]: bad rational {value!r} "
+            "(exponent notation is not accepted)\n"
+        )
+
+    def test_integers_fractions_and_decimals_accepted(self, tmp_path):
+        universe = {"kind": "elemQ", "dim": 2, "wedge": "orthant"}
+        path = _write(tmp_path, {"universe": universe, "elements": {"A": ["3", "-1/2"], "B": ["0.25", 7]}})
+        elements = load_instance(path).elements
+        assert elements == {"A": (F(3), F(-1, 2)), "B": (F(1, 4), F(7))}
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no limit on int string conversion",
+    )
+    def test_oversized_json_integer_rejected(self, tmp_path, capsys):
+        # json.load refuses an integer literal longer than the int string
+        # conversion limit with a plain ValueError, not a JSONDecodeError.
+        digits = sys.get_int_max_str_digits() + 1
+        text = json.dumps({"universe": {"kind": "elemQ", "dim": 1, "wedge": "orthant"}})
+        path = _write(tmp_path, text[:-1] + ', "elements": {"A": [' + "1" * digits + "]}}")
+        assert main(["inspect", path, "--element", "A", "--op", "closure"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"input error: {path}: invalid JSON (")
+
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"universe": {"kind": "elemQ", "dim": 1, "wedge": "orthant\xff"}}')
+        assert main(["laws", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"input error: {path}: invalid JSON ('utf-8' codec")
+
 
 class TestExitCodes:
     def test_laws_pass(self, setq_path, capsys):
         assert main(["laws", setq_path, "--cases", "25"]) == EXIT_PASS
         assert "status: pass" in capsys.readouterr().out
+
+    def test_every_law_carries_empty_notes(self, setq_path, capsys):
+        # No suite writes notes; the key stays, so reports keep their bytes.
+        assert main(["laws", setq_path, "--cases", "5", "--format", "json"]) == EXIT_PASS
+        laws = json.loads(capsys.readouterr().out)["laws"]
+        assert len(laws) == 18 and all(law["notes"] == [] for law in laws)
 
     @pytest.mark.parametrize(
         "universe, cases",

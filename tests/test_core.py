@@ -28,8 +28,6 @@ from cornets.core import (
     is_A_bounded,
     is_archimedean,
     is_n_convex,
-    is_nonnegative,
-    n_continuity_probe,
     subcornet_closure_suite,
     verify_closure,
 )
@@ -174,10 +172,6 @@ class TestArchimedean:
         report = check_A_continuity(ELEM, fam, n_max=6)
         assert report.passed, report.violations
 
-    def test_nonnegative(self):
-        assert is_nonnegative(ELEM, (F(0), F(2)))
-        assert not is_nonnegative(ELEM, (F(-1), F(2)))
-
 
 class TestClosure:
     def test_closure_props_elem(self):
@@ -223,8 +217,25 @@ class TestCancellation:
         x = discrete(w, [(1, 1)])
         y = SETQ.hull(discrete(w, [(0, 0), (2, 1)]))
         z = discrete(w, [(0, 1)])
-        rec = cancellation_check(SETQ, x, y, z, 2, self.FAM, Horizon(12), replay=True)
+        rec = cancellation_check(SETQ, x, y, z, 2, self.FAM, Horizon(12))
         assert rec.status == "Verified"
+        assert all(ok for _, ok in rec.chain)
+
+    @pytest.mark.parametrize("m, n_max", [(2, 12), (3, 8), (2, 1)])
+    def test_verified_instance_builds_full_chain(self, m, n_max):
+        # Once hypotheses and premise hold, the chain is always built: one
+        # link per n up to the horizon, then one per power m^k <= n_max.
+        w = Wedge.orthant(2)
+        x = discrete(w, [(1, 1)])
+        y = SETQ.hull(discrete(w, [(0, 0), (2, 1)]))
+        z = discrete(w, [(0, 1)])
+        rec = cancellation_check(SETQ, x, y, z, m, self.FAM, Horizon(n_max))
+        powers = [m**k for k in range(1, n_max) if m**k <= n_max]
+        assert rec.status == "Verified"
+        assert len(rec.chain) == n_max + len(powers)
+        assert [label for label, _ in rec.chain[n_max:]] == [
+            f"m^k*x+z <= m^k*y+z @ {mk}" for mk in powers
+        ]
         assert all(ok for _, ok in rec.chain)
 
     def test_premise_not_met(self):
@@ -265,7 +276,7 @@ class TestCancellation:
             rng = case_rng(7, i)
             x, z = inst.sampler(rng), inst.sampler(rng)
             y = inst.add(x, inst.nonneg_sampler(rng))
-            rec = cancellation_check(inst, x, y, z, 2, fam, h, replay=True)
+            rec = cancellation_check(inst, x, y, z, 2, fam, h)
             assert rec.status == "Verified"
             assert rec.chain == _ref_chain(inst, x, y, z, 2, h)
 
@@ -300,12 +311,12 @@ class TestUndecidableChallenges:
         h = Horizon(8)
         ref = _ref_decidable_challenges(SETQ, challenges, y)
         try:
-            expected = cancellation_check(SETQ, x, y, z, 2, self.FAM, h, ref, replay=True)
+            expected = cancellation_check(SETQ, x, y, z, 2, self.FAM, h, ref)
         except UnsupportedOperation:
             with pytest.raises(UnsupportedOperation):
-                cancellation_check(SETQ, x, y, z, 2, self.FAM, h, challenges, replay=True)
+                cancellation_check(SETQ, x, y, z, 2, self.FAM, h, challenges)
             return None
-        got = cancellation_check(SETQ, x, y, z, 2, self.FAM, h, challenges, replay=True)
+        got = cancellation_check(SETQ, x, y, z, 2, self.FAM, h, challenges)
         assert got.hypotheses["y-closed"].details["challenges"] == len(challenges)
         assert _without_challenge_count(got) == _without_challenge_count(expected)
         return got
@@ -476,15 +487,3 @@ class TestHullAndContinuity:
     def test_hull_props(self):
         reports = hull_props_check(SETQ, seed=4, cases=20)
         assert all(r.passed for r in reports), [r.law for r in reports if not r.passed]
-
-    def test_continuity_probe_reports_findings(self):
-        w = Wedge.orthant(2)
-        families = [
-            [discrete(w, [(0, 2)]), discrete(w, [(2, 0)])],
-            [discrete(w, [(0, 0)]), discrete(w, [(1, 1)])],
-        ]
-        report = n_continuity_probe(SETQ, 2, families)
-        # Findings only, never failures.
-        assert report.passed
-        tag, equal, _, total = report.notes[0]
-        assert tag == "equalities" and total == 2 and 0 <= equal <= 2

@@ -25,8 +25,6 @@ from cornets.sets import (
     Repr,
     UnsupportedOperation,
     discrete,
-    finite_intersection,
-    intersect,
     msum,
     polytopic,
     star_set,
@@ -37,7 +35,6 @@ from cornets.fuzzy import (
     chi,
     chi_embed,
     fuzzy_arch_family,
-    fuzzy_inf,
     is_n_quasiconcave,
     leq_fuzzy,
     level_cut,
@@ -241,38 +238,6 @@ class TestChiEmbedding:
                 assert chi_embed(A) != chi_embed(B)
 
 
-class TestInf:
-    def test_examples(self):
-        f = chi(discrete(W2, [(0, 2)]))
-        g = chi(discrete(W2, [(1, 0)]))
-        assert fuzzy_inf([f, f]) == f
-        assert fuzzy_inf([f, g]) == chi(intersect(support(f), support(g)))
-
-    def test_pointwise_on_grid(self):
-        inst = make_fuzzy_cornet(W1, 1)
-        grid = [(F(v, 2),) for v in range(-20, 21)]
-        for i in range(15):
-            f, g = inst.sampler(case_rng(8, i)), inst.sampler(case_rng(9, i))
-            try:
-                h = fuzzy_inf([f, g])
-            except ValueError:
-                continue  # pointwise min dropped below p; legitimately rejected
-            for x in grid:
-                assert h.value(x) == min(f.value(x), g.value(x))
-
-    def test_min_p_policy(self):
-        # The infimum lives at the weakest supremum bound of its inputs; with
-        # that policy the result always satisfies its own sup >= p.
-        f = chi(ray(0))
-        low = StepFuzzy.make(W1, F(1, 2), [(F(1, 2), ray(0))])
-        h = fuzzy_inf([f, low])
-        assert h.p == F(1, 2) and h.top >= h.p
-
-    def test_rejects_empty_list(self):
-        with pytest.raises(ValueError):
-            fuzzy_inf([])
-
-
 def _ref_oplus(f, g):
     """Reference: oplus with its levels validated by StepFuzzy.make."""
     cap = min(f.top, g.top)
@@ -286,19 +251,8 @@ def _ref_odot(n, f):
     return StepFuzzy.make(f.wedge, f.p, [(a, star_set(n, c)) for a, c in f.levels])
 
 
-def _ref_fuzzy_inf(fs):
-    """Reference: fuzzy_inf with its levels validated by StepFuzzy.make."""
-    p, cap = min(f.p for f in fs), min(f.top for f in fs)
-    levels = []
-    for a in sorted({a for f in fs for a, _ in f.levels if a <= cap}, reverse=True):
-        cuts = [level_cut(f, a) for f in fs]
-        if None not in cuts:
-            levels.append((a, finite_intersection(cuts)))
-    return StepFuzzy.make(fs[0].wedge, p, levels)
-
-
 class TestTrustedConstructor:
-    """oplus, odot and fuzzy_inf build their results without StepFuzzy.make;
+    """oplus and odot build their results without StepFuzzy.make;
     on the same levels, make must give the same values."""
 
     @pytest.mark.parametrize("rp", [Repr.DISCRETE, Repr.POLYTOPIC])
@@ -312,14 +266,6 @@ class TestTrustedConstructor:
                 assert oplus(x, y) == _ref_oplus(x, y)
             for n in (1, 2, 3):
                 assert odot(n, f) == _ref_odot(n, f)
-            if rp is Repr.DISCRETE:
-                try:
-                    ref = _ref_fuzzy_inf([f, g])
-                except ValueError:
-                    with pytest.raises(ValueError):
-                        fuzzy_inf([f, g])
-                else:
-                    assert fuzzy_inf([f, g]) == ref
 
     def test_equal_adjacent_sums_merge(self):
         # Over (Z, W = {0}), {0, 2} + {0, 1} = {0, 1, 2} + {0, 1}: the two

@@ -14,13 +14,11 @@ from hypothesis import strategies as st
 
 from cornets.geometry import (
     DimensionMismatch,
-    divide,
     join_orthant,
     lp_feasible,
     rat,
     vadd,
     vdot,
-    vscale,
     vsub,
     vzero,
 )
@@ -52,10 +50,6 @@ class TestVectors:
     @given(_vec_strategy(3), _vec_strategy(3))
     def test_add_sub_roundtrip(self, u, v):
         assert vsub(vadd(u, v), v) == u
-
-    @given(_vec_strategy(2), st.integers(min_value=1, max_value=9))
-    def test_divide_inverts_scaling(self, u, n):
-        assert vscale(n, divide(u, n)) == u
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

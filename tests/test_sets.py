@@ -21,7 +21,7 @@ from cornets.core import (
     is_archimedean,
     is_n_convex,
 )
-from cornets.geometry import divide, join_orthant, lp_feasible, vadd, vdot, vscale, vsub
+from cornets.geometry import join_orthant, lp_feasible, vadd, vdot, vscale, vsub
 from cornets.sets import (
     Repr,
     UnsupportedOperation,
@@ -779,7 +779,7 @@ def _ref_is_n_convex_set(A, n):
         total = combo[0]
         for g in combo[1:]:
             total = vadd(total, g)
-        if not _ref_set_member(A, divide(total, n)):
+        if not _ref_set_member(A, tuple(c / n for c in total)):
             return False
     return True
 
@@ -911,7 +911,7 @@ class TestOneFormPerSet:
         steps = data.draw(st.lists(st.tuples(*[coord] * w.dim), max_size=3))
         extra = [vadd(g, d) for g in A.generators for d in steps if w.contains(d)]
         if A.repr is Repr.POLYTOPIC:
-            extra += [divide(vadd(f, g), 2) for f in A.generators for g in A.generators]
+            extra += [tuple(c / 2 for c in vadd(f, g)) for f in A.generators for g in A.generators]
         forms = list(Repr) if len(A.nums) == 1 else [A.repr]
         C = UpperSet.make(w, data.draw(st.sampled_from(forms)), list(A.generators) + extra)
         assert C == A
