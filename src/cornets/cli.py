@@ -80,6 +80,12 @@ _LIMITS = {"n_max": N_MAX_LIMIT, "horizon": HORIZON_LIMIT, "dim": 32, "cases": 2
 # 6 (0..7 takes 5.3 s); z1-intervals over 0..14 (120 sets) takes 1.6 s.  So
 # a larger universe is refused before it is built.
 HUNT_SETS_LIMIT = 127
+# Reports print every rational in full, and Python refuses to print an int of
+# more than 4,300 digits, a length that sums over a few denominators reach
+# from far shorter input.  So a numerator or denominator read from input has
+# at most 1,000 digits.
+RAT_DIGITS_LIMIT = 1000
+_RAT_BOUND = 10**RAT_DIGITS_LIMIT
 
 
 class CliError(Exception):
@@ -108,9 +114,13 @@ def _parse_rat(value, location: str) -> Fraction:
     if isinstance(value, str) and "e" in value.lower():
         raise CliError(f"bad rational {value!r} (exponent notation is not accepted)", location)
     try:
-        return rat(value)
+        q = rat(value)
     except (ValueError, ZeroDivisionError) as e:
         raise CliError(f"bad rational {value!r} ({e})", location)
+    if max(abs(q.numerator), q.denominator) >= _RAT_BOUND:
+        too_long = f"more than {RAT_DIGITS_LIMIT} digits in its numerator or denominator"
+        raise CliError(f"bad rational ({too_long})", location)
+    return q
 
 
 def _parse_wedge(spec, dim: int, location: str) -> Wedge:

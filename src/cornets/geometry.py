@@ -51,11 +51,6 @@ def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u: Vec, v: Vec) -> Vec:
-    _check_dims(u, v)
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vneg(u: Vec) -> Vec:
     return tuple(-a for a in u)
 

@@ -20,6 +20,11 @@ here (no dominance step, and membership is a lookup among the generators).
 The dominance step is one pass in order of the height, the sum of a
 generator's values, which strictly increases along the order: each generator
 is tested only against those kept before it, not against all the others.
+The exact simplex (``geometry.lp_feasible``) decides hull pruning and
+polytopic membership only where the generators do not: for each row, the
+survivor with the least value there, then the least height, then the least
+point, is a vertex, so it keeps its place with no LP; and a point in g + W
+for a generator g is a member, since g + W lies in conv(F) + W.
 Archimedean and boundedness thresholds reduce to ``wedges.threshold`` on
 pairs of generators, over every wedge; the Archimedean family {-eps . ones} + W
 comes from ``wedges.arch_family``.
@@ -135,7 +140,16 @@ def _canonicalize(w: Wedge, rp: Repr, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
     values, which strictly increases along the order, so every generator
     below g comes before it; g is tested only against the generators kept so
     far, since one dropped below g lies above a kept one, and h <= g iff
-    every value of h is at most g's.  The survivors keep the sorted order."""
+    every value of h is at most g's.  The survivors keep the sorted order.
+
+    Hull pruning asks the LP only of survivors that no row certifies.  For
+    a row m, the first survivor in the order (m's value, height, point) is
+    a vertex of P = conv(F) + W: m is nonnegative on W, so its minimum over
+    P exposes the face conv(F_m) + (W with m = 0), F_m the survivors where
+    it is least; the height is positive on W minus 0, so its minimum there
+    is the polytope conv(F_mh) of the least-height ones among them; and the
+    lexicographic minimum of a polytope is a vertex.  A vertex of P lies in
+    no conv(F minus g) + W, so the scan keeps what the LP would keep."""
     gens = tuple(sorted(set(gens)))
     # Over the zero wedge h <= g only for h == g, and set() has already
     # dropped duplicates, so the step would keep every generator.
@@ -152,9 +166,13 @@ def _canonicalize(w: Wedge, rp: Repr, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
         return _pareto_lower_hull(gens)
     # One pass suffices: dropping a redundant point leaves conv(F) + W as it
     # was, and a point irredundant against a set stays so against any subset.
+    # Each row certifies its first survivor in (value, height, g) as a vertex.
+    vals = [w.values(g) for g in gens]
+    heights = [sum(v) for v in vals]
+    vertices = {min(zip(col, heights, gens))[2] for col in zip(*vals)}
     kept = list(gens)
     for g in gens:
-        if _poly_member_lp(w, [h for h in kept if h != g], g):
+        if g not in vertices and _poly_member_lp(w, [h for h in kept if h != g], g):
             kept.remove(g)
     return tuple(kept)
 
@@ -203,7 +221,8 @@ def _has(w: Wedge, rp: Repr, nums: Nums, q) -> bool:
         return any(w.leq(g, q) for g in nums)
     if w.is_orthant and w.dim == 2:
         return _member_chain(nums, q)
-    return _poly_member_lp(w, nums, q)
+    # g + W lies in conv(nums) + W, so a generator below q certifies it.
+    return any(w.leq(g, q) for g in nums) or _poly_member_lp(w, nums, q)
 
 
 def _member_chain(chain: Sequence[Vec], p: Vec) -> bool:

@@ -1,9 +1,12 @@
 """The brute-force rational grid that several test modules check exact
-decisions against."""
+decisions against, and the vector difference their reference order tests
+read."""
 
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
+
+from cornets.geometry import vadd, vneg
 
 
 def rational_grid(nvars: int, num_range: int, dens: Sequence[int]) -> Iterable[tuple]:
@@ -13,3 +16,8 @@ def rational_grid(nvars: int, num_range: int, dens: Sequence[int]) -> Iterable[t
         {Fraction(n, d) for d in dens for n in range(-num_range, num_range + 1)}
     )
     return product(axis, repeat=nvars)
+
+
+def vsub(u: tuple, v: tuple) -> tuple:
+    """u - v; vadd raises DimensionMismatch when the dimensions differ."""
+    return vadd(u, vneg(v))

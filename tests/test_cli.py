@@ -15,6 +15,7 @@ from cornets.cli import (
     EXIT_PASS,
     EXIT_VIOLATION,
     HORIZON_LIMIT,
+    RAT_DIGITS_LIMIT,
     _LIMITS,
     CliError,
     build_parser,
@@ -24,6 +25,8 @@ from cornets.cli import (
 from cornets.fuzzy import serialize_fuzzy
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+LONG_DECIMAL = "1" * 4000 + "." + "1" * 4000
 
 MUTATED_SETZ_FILE = {
     "universe": {"kind": "setZ", "dim": 1, "wedge": "zero"},
@@ -238,6 +241,35 @@ class TestLoading:
             f"input error: $.elements.A.generators[0]: bad rational {value!r} "
             "(exponent notation is not accepted)\n"
         )
+
+    @pytest.mark.parametrize(
+        "kind, element, where",
+        [
+            ("elemQ", [LONG_DECIMAL], "$.elements.A"),
+            ("elemQ", ["1/" + "3" * 1001], "$.elements.A"),
+            ("setQ", {"repr": "discrete", "generators": [[LONG_DECIMAL]]}, "$.elements.A.generators[0]"),
+        ],
+        ids=["long-decimal", "long-denominator", "long-set-generator"],
+    )
+    def test_overlong_rational_rejected(self, tmp_path, capsys, kind, element, where):
+        # Each part of the decimal is under Python's 4,300-digit limit on
+        # printing an int, but its numerator is not; the report would die
+        # printing it.
+        universe = {"kind": kind, "dim": 1, "wedge": "orthant"}
+        path = _write(tmp_path, {"universe": universe, "elements": {"A": element}})
+        assert main(["inspect", path, "--element", "A", "--op", "closure"]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {where}: bad rational "
+            f"(more than {RAT_DIGITS_LIMIT} digits in its numerator or denominator)\n"
+        )
+
+    def test_rational_at_digit_limit_accepted(self, tmp_path, capsys):
+        # 1,000-digit numerator and denominator: read, and printed in full.
+        value = "-" + "9" * RAT_DIGITS_LIMIT + "/1" + "0" * (RAT_DIGITS_LIMIT - 1)
+        universe = {"kind": "elemQ", "dim": 1, "wedge": "orthant"}
+        path = _write(tmp_path, {"universe": universe, "elements": {"A": [value]}})
+        assert main(["inspect", path, "--element", "A", "--op", "closure", "--format", "json"]) == EXIT_PASS
+        assert value in capsys.readouterr().out
 
     def test_integers_fractions_and_decimals_accepted(self, tmp_path):
         universe = {"kind": "elemQ", "dim": 2, "wedge": "orthant"}

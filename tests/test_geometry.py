@@ -19,11 +19,10 @@ from cornets.geometry import (
     rat,
     vadd,
     vdot,
-    vsub,
     vzero,
 )
 from cornets.wedges import NotPointedError, Wedge, _line_witness
-from grid_oracle import rational_grid
+from grid_oracle import rational_grid, vsub
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=4

@@ -21,7 +21,8 @@ from cornets.core import (
     is_archimedean,
     is_n_convex,
 )
-from cornets.geometry import join_orthant, lp_feasible, vadd, vdot, vscale, vsub
+from cornets import sets as sets_module
+from cornets.geometry import join_orthant, lp_feasible, vadd, vdot, vscale, vzero
 from cornets.sets import (
     Repr,
     UnsupportedOperation,
@@ -30,6 +31,7 @@ from cornets.sets import (
     _arch_exact_set,
     _bounded_exact_set,
     _canonicalize,
+    _has,
     _member_chain,
     _poly_member_lp,
     convex_hull,
@@ -49,7 +51,7 @@ from cornets.sets import (
     subset,
 )
 from cornets.wedges import Wedge, make_elem_cornet
-from grid_oracle import rational_grid
+from grid_oracle import rational_grid, vsub
 
 W2 = Wedge.orthant(2)
 WZ = Wedge.zero(1)
@@ -176,7 +178,9 @@ def _ref_interval_member(gens, p):
 
 # One wedge for each branch of polytopic canonicalisation, checked against
 # the LP scan: the orthant, zero and general dominance steps, followed by the
-# 2-d orthant chain or the one-pass LP scan.
+# 2-d orthant chain or the one-pass scan, whose vertex certificates read one
+# value per row; so the last three are poly3's wedge, a 4-d wedge and a 3-d
+# wedge with a redundant row.
 SCAN_WEDGES = [
     Wedge.orthant(3),
     Wedge.zero(2),
@@ -187,6 +191,9 @@ SCAN_WEDGES = [
     Wedge.from_rows([[-1]]),
     Wedge.zero(1),
     Wedge.orthant(2),
+    Wedge.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 1]]),
+    Wedge.from_rows([[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1]]),
+    Wedge.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]),
 ]
 
 
@@ -330,6 +337,43 @@ class TestMembership:
         gens = data.draw(st.lists(point, min_size=1, max_size=6))
         p = data.draw(st.one_of(st.sampled_from(gens), point))
         assert _poly_member_lp(w, gens, p) == _ref_poly_member_lp(w, gens, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_polytopic_membership_matches_reference(self, data):
+        # The polytopic branch, certificate and LP together, against the LP
+        # alone; points of g + W and of the chord midpoints plus W reach the
+        # certificate and the LP's "member" answers.
+        w = data.draw(st.sampled_from(SCAN_WEDGES))
+        coord = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+        point = st.tuples(*[coord] * w.dim)
+        A = polytopic(w, data.draw(st.lists(point, min_size=1, max_size=6)))
+        g, h = data.draw(st.sampled_from(A.generators)), data.draw(st.sampled_from(A.generators))
+        t = data.draw(point)
+        t = t if w.contains(t) else vzero(w.dim)
+        base = data.draw(st.sampled_from([g, vscale(F(1, 2), vadd(g, h)), vzero(w.dim)]))
+        p = data.draw(st.one_of(st.just(vadd(base, t)), point))
+        q = tuple(c * A.den for c in p)
+        assert _has(w, Repr.POLYTOPIC, A.nums, q) == _ref_poly_member_lp(w, A.generators, p)
+
+    def test_certificates_spare_the_lp(self, monkeypatch):
+        # Each generator has the least value on one row, so it is a certified
+        # vertex, and every generator of A certifies itself in subset(A, A).
+        # A point above no generator still asks the LP, once.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lp_feasible(*args, **kwargs)
+
+        monkeypatch.setattr(sets_module, "lp_feasible", counting)
+        A = polytopic(Wedge.orthant(3), [(0, 5, 5), (5, 0, 5), (5, 5, 0)])
+        assert len(A.nums) == 3 and A.repr is Repr.POLYTOPIC
+        assert subset(A, A)
+        assert calls == []
+        assert polytopic(Wedge.orthant(3), [*A.generators, (4, 4, 4)]) == A
+        assert A.member((4, 4, 4)) and not A.member((3, 3, 3))
+        assert len(calls) == 3
 
     def test_zero_wedge_membership_is_exact_hit(self):
         A = discrete(WZ, [(0,), (2,)])

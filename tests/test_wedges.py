@@ -17,7 +17,7 @@ from cornets.core import (
     check_lemma_identities,
     is_archimedean,
 )
-from cornets.geometry import DimensionMismatch, vadd, vdot, vneg, vscale, vsub
+from cornets.geometry import DimensionMismatch, vadd, vdot, vneg, vscale
 from cornets.sets import discrete, msum
 from cornets.wedges import (
     NotPointedError,
@@ -26,6 +26,7 @@ from cornets.wedges import (
     make_elem_cornet,
     threshold,
 )
+from grid_oracle import vsub
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 vec2 = st.tuples(rationals, rationals)
