@@ -69,6 +69,7 @@ from .sets import (
 )
 from .wedges import (
     NotPointedError,
+    Point,
     Wedge,
     elem_arch_family,
     make_elem_cornet,

@@ -53,7 +53,7 @@ from .sets import (
     serialize_set,
     set_arch_family,
 )
-from .wedges import NotPointedError, Wedge, elem_arch_family, make_elem_cornet
+from .wedges import NotPointedError, Point, Wedge, elem_arch_family, make_elem_cornet
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -65,8 +65,11 @@ EXIT_INPUT = 2
 # above 12.
 N_MAX_LIMIT = 12
 # Horizon searches and `cancel`'s chain, one link per n, cost more than
-# linearly in the horizon: of 200 benchmark `cancel` requests (seeds 1 and 2,
-# 2-vCPU Xeon) the slowest takes 3.2 s at 200, and one takes 96 s at 1,000.
+# linearly in the horizon.  Through `cancellation_check` on a 2-vCPU Xeon,
+# benchmark `cancel` request 7 of seed 1 takes 0.12 s at 200, 0.51 s at 400
+# and 2.0 s at 1,000, and the slowest of requests 0-99 of seeds 1 and 2
+# takes 0.22 s at 200.  The limit stays at 200 until the other horizon
+# searches are measured past it.
 HORIZON_LIMIT = 200
 # Building the wedge checks pointedness with up to dim LPs before any case
 # runs: a custom wedge (unit rows and the all-ones row) takes 0.05 s at dim
@@ -209,7 +212,7 @@ def _parse_element(kind: str, raw, w: Wedge, p: Fraction, location: str):
     if kind == "elemQ":
         if not isinstance(raw, list) or len(raw) != w.dim:
             raise CliError(f"element must be a list of {w.dim} rationals", location)
-        return tuple(_parse_rat(c, location) for c in raw)
+        return Point.make(_parse_rat(c, location) for c in raw)
     if kind in ("setQ", "setZ"):
         return _parse_set(raw, w, location, integer=(kind == "setZ"))
     return _parse_fuzzy(raw, w, p, location)
@@ -509,7 +512,7 @@ def cmd_inspect(args) -> int:
     elif op == "embed":
         if loaded.kind == "elemQ":
             target = "setQ"
-            result = serialize_set(phi_embed(loaded.wedge, el))
+            result = serialize_set(phi_embed(loaded.wedge, el.coords))
         elif loaded.kind in ("setQ", "setZ"):
             target = "fuzzyQ"
             result = serialize_fuzzy(chi_embed(el))

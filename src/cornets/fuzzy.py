@@ -14,8 +14,9 @@ they skip that validation: ``oplus`` only merges equal adjacent cuts, and
 ``oplus`` whose sum has a polytopic cut above a discrete one of several
 generators: ``msum`` promotes the sum of a polytopic cut of several vertices
 and a discrete cut of several generators to its hull, so those cuts need not
-nest, and ``make`` checks them.  ``oplus`` and ``leq_fuzzy`` look up cuts at
-level values they already hold, without parsing them again.
+nest, and ``make`` checks them.  ``oplus`` and ``leq_fuzzy`` walk down both
+descending level lists once, carrying each one's current cut, rather than
+looking up a cut per level value.
 """
 
 from __future__ import annotations
@@ -129,17 +130,30 @@ def _cut(f: StepFuzzy, alpha: Fraction) -> Optional[UpperSet]:
     return hit
 
 
-def _merged_alphas(fs: Sequence[StepFuzzy]) -> list[Fraction]:
-    """The level values of every f in fs up to the lowest top, descending."""
-    cap = min(f.top for f in fs)
-    return sorted({a for f in fs for a, _ in f.levels if a <= cap}, reverse=True)
-
-
 def oplus(f: StepFuzzy, g: StepFuzzy) -> StepFuzzy:
-    """Sup-min convolution, computed cut-by-cut as Minkowski sums."""
+    """Sup-min convolution, computed cut-by-cut as Minkowski sums at every
+    level value of f or g up to the lower top, in one walk down both level
+    lists that carries each one's cut at the current value."""
     if f.wedge != g.wedge:
         raise WedgeMismatch("operands live over different wedges")
-    levels = [(a, msum(_cut(f, a), _cut(g, a))) for a in _merged_alphas((f, g))]
+    cap = min(f.top, g.top)
+    fl, gl = f.levels, g.levels
+    i = j = 0
+    fcut = gcut = None
+    levels = []
+    while i < len(fl) or j < len(gl):
+        # The next level value down is f's, g's or both's.
+        if j == len(gl) or (i < len(fl) and fl[i][0] >= gl[j][0]):
+            a, fcut = fl[i]
+            i += 1
+            if j < len(gl) and gl[j][0] == a:
+                gcut = gl[j][1]
+                j += 1
+        else:
+            a, gcut = gl[j]
+            j += 1
+        if a <= cap:
+            levels.append((a, msum(fcut, gcut)))
     # A polytopic cut of several vertices plus a discrete cut of several
     # generators is promoted to its convex hull, which can exceed the sum,
     # so a hull cut above a discrete cut need not nest: make checks those.
@@ -159,11 +173,18 @@ def odot(n: int, f: StepFuzzy) -> StepFuzzy:
 
 
 def leq_fuzzy(f: StepFuzzy, g: StepFuzzy) -> bool:
-    """Pointwise order, decided levelwise on f's level values."""
+    """Pointwise order, decided levelwise on f's level values: f's cut at a
+    within g's widest cut at a level >= a."""
     if f.wedge != g.wedge:
         raise WedgeMismatch("operands live over different wedges")
+    # One walk down g's levels: gcut is g's widest cut at a level >= a.
+    gl = g.levels
+    j = 0
+    gcut = None
     for a, cut in f.levels:
-        gcut = _cut(g, a)
+        while j < len(gl) and gl[j][0] >= a:
+            gcut = gl[j][1]
+            j += 1
         if gcut is None or not subset(cut, gcut):
             return False
     return True

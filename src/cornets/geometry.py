@@ -3,7 +3,8 @@
 Vectors are plain tuples of exact rationals, which keeps them hashable,
 sortable and trivially immutable: ``fractions.Fraction`` at the package's
 API, and ``int`` numerators inside ``sets`` (over one common denominator per
-set) and in ``wedges``' coprime rows.  The vector helpers work on either.
+set), inside ``wedges.Point`` (over one denominator per point) and in
+``wedges``' coprime rows.  The vector helpers work on either.
 ``lp_feasible`` decides a system of affine inequalities with a phase-1
 simplex that pivots on integers and returns an exact rational witness.  Its
 variables are free, or all nonnegative with ``nonneg=True``, which gives each
@@ -44,11 +45,6 @@ def rat(value) -> Fraction:
 def _check_dims(u: Vec, v: Vec) -> None:
     if len(u) != len(v):
         raise DimensionMismatch(f"dim {len(u)} vs {len(v)}")
-
-
-def vadd(u: Vec, v: Vec) -> Vec:
-    _check_dims(u, v)
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vneg(u: Vec) -> Vec:

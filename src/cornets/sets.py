@@ -17,9 +17,11 @@ work on ints only; every decision here is invariant under that scaling.
 Dominance, membership and the thresholds read the order through
 ``Wedge.values``; only the zero wedge, whose order is equality, is handled
 here (no dominance step, and membership is a lookup among the generators).
-The dominance step is one pass in order of the height, the sum of a
-generator's values, which strictly increases along the order: each generator
-is tested only against those kept before it, not against all the others.
+Over a wedge of at most two rows (a 1-d wedge, or a 2-d one given by two
+rows) the dominance step is a staircase sweep, one sort by values; over any
+other wedge it is one pass in order of the height, the sum of a generator's
+values, which strictly increases along the order: each generator is tested
+only against those kept before it, not against all the others.
 The exact simplex (``geometry.lp_feasible``) decides hull pruning and
 polytopic membership only where the generators do not: for each row, the
 survivor with the least value there, then the least height, then the least
@@ -135,12 +137,15 @@ def _canonicalize(w: Wedge, rp: Repr, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
     leaves the vertices of conv(F) + W.  Every step is invariant under a
     positive scaling, so it works alike on ints and Fractions.
 
-    The dominance step reads each generator's ``w.values`` once, kept beside
-    it, and visits the generators by increasing height, the sum of their
-    values, which strictly increases along the order, so every generator
-    below g comes before it; g is tested only against the generators kept so
-    far, since one dropped below g lies above a kept one, and h <= g iff
-    every value of h is at most g's.  The survivors keep the sorted order.
+    The dominance step keeps the minimal generators, in point order.  Over
+    the zero wedge every distinct generator is minimal.  A wedge of at most
+    two rows is swept as a staircase (``_staircase``).  Over any other wedge
+    the step reads each generator's ``w.values`` once, kept beside it, and
+    visits the generators by increasing height, the sum of their values,
+    which strictly increases along the order, so every generator below g
+    comes before it; g is tested only against the generators kept so far,
+    since one dropped below g lies above a kept one, and h <= g iff every
+    value of h is at most g's.
 
     Hull pruning asks the LP only of survivors that no row certifies.  For
     a row m, the first survivor in the order (m's value, height, point) is
@@ -150,12 +155,13 @@ def _canonicalize(w: Wedge, rp: Repr, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
     is the polytope conv(F_mh) of the least-height ones among them; and the
     lexicographic minimum of a polytope is a vertex.  A vertex of P lies in
     no conv(F minus g) + W, so the scan keeps what the LP would keep."""
-    gens = tuple(sorted(set(gens)))
-    # Over the zero wedge h <= g only for h == g, and set() has already
-    # dropped duplicates, so the step would keep every generator.
-    if not w.is_zero:
+    if w.is_zero:
+        gens = tuple(sorted(set(gens)))
+    elif len(w.rows) <= 2:
+        gens = _staircase(w, set(gens))
+    else:
         kept: list[tuple[Vec, Vec]] = []
-        for g, v in sorted(((g, w.values(g)) for g in gens), key=lambda gv: sum(gv[1])):
+        for g, v in sorted(((g, w.values(g)) for g in set(gens)), key=lambda gv: sum(gv[1])):
             if not any(all(map(le, hv, v)) for _, hv in kept):
                 kept.append((g, v))
         gens = tuple(sorted(g for g, _ in kept))
@@ -175,6 +181,27 @@ def _canonicalize(w: Wedge, rp: Repr, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
         if g not in vertices and _poly_member_lp(w, [h for h in kept if h != g], g):
             kept.remove(g)
     return tuple(kept)
+
+
+def _staircase(w: Wedge, gens: Iterable[Vec]) -> tuple[Vec, ...]:
+    """The minimal generators over a pointed wedge of at most two rows,
+    which is 1-d, or 2-d with two independent rows, so ``w.values`` is
+    injective and h <= g iff both values of h are at most g's.  In 1-d the
+    least value is the one minimal generator.  In 2-d, visited by increasing
+    values, g is minimal iff its second value is below that of every
+    generator kept so far: one before it has a first value at most g's.  This
+    is the 2-d maxima algorithm of Kung, Luccio and Preparata (J. ACM 22(4),
+    1975).  Over the orthant the values are the point, so the survivors are
+    already in point order."""
+    if w.dim == 1:
+        return (min(gens, key=w.values),)
+    kept = []
+    low = None
+    for (_, y), g in sorted((w.values(g), g) for g in gens):
+        if low is None or y < low:
+            kept.append(g)
+            low = y
+    return tuple(kept) if w.is_orthant else tuple(sorted(kept))
 
 
 def _pareto_lower_hull(antichain: Sequence[Vec]) -> tuple[Vec, ...]:
@@ -320,7 +347,8 @@ def convex_hull(A: UpperSet) -> UpperSet:
 
 
 def phi_embed(w: Wedge, x: Vec) -> UpperSet:
-    """x |-> x + W, the order-reversing embedding of the element cornet."""
+    """x |-> x + W, the order-reversing embedding of the element cornet, on
+    the coordinates of a point (``Point.coords``)."""
     return UpperSet.make(w, Repr.DISCRETE, [x])
 
 

@@ -12,6 +12,11 @@ and ``arch_family`` the one builder of their Archimedean families, which
 needs ``ones`` strictly interior to W.  ``Wedge.values`` is the one way a
 point is read against the rows, for membership, the order and ``threshold``
 alike; over the orthant these are the coordinates themselves.
+An element is a ``Point``: ``int`` numerators over one positive, reduced
+denominator, as ``sets.UpperSet`` holds its generators, with ``coords``
+giving the ``Fraction`` view.  Addition, star, the order and both exact
+deciders put two points over the lcm of their denominators and then work on
+ints only; the order and ``threshold`` are unchanged by that scaling.
 """
 
 from __future__ import annotations
@@ -22,19 +27,18 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .core import ArchFamily, CornetInstance
 from .geometry import (
     DimensionMismatch,
     Vec,
+    _exact,
     lp_feasible,
     rat,
-    vadd,
     vdot,
     vneg,
     vscale,
-    vzero,
 )
 
 
@@ -197,61 +201,116 @@ def arch_family(
     )
 
 
+@dataclass(frozen=True)
+class Point:
+    """A point of Q^d as the coordinates nums[i] / den: ``int`` numerators
+    over one positive denominator, reduced so that gcd(den, every numerator)
+    == 1; equality and hashing rest on (den, nums)."""
+
+    den: int
+    nums: tuple[int, ...]
+
+    @staticmethod
+    def make(coords: Iterable) -> "Point":
+        # ints stay ints: they are their own numerators over 1.
+        cs = tuple(map(_exact, coords))
+        den = lcm(*(c.denominator for c in cs))
+        return _reduced(den, tuple(c.numerator * (den // c.denominator) for c in cs))
+
+    @functools.cached_property
+    def coords(self) -> Vec:
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+
+def _reduced(den: int, nums: tuple[int, ...]) -> Point:
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = tuple(c // g for c in nums)
+    return Point(den, nums)
+
+
+def _common(x: Point, y: Point) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The numerators of x and y over the lcm of their denominators."""
+    if len(x.nums) != len(y.nums):
+        raise DimensionMismatch(f"dim {len(x.nums)} vs {len(y.nums)}")
+    if x.den == y.den:
+        return x.den, x.nums, y.nums
+    den = lcm(x.den, y.den)
+    kx, ky = den // x.den, den // y.den
+    return den, tuple(kx * c for c in x.nums), tuple(ky * c for c in y.nums)
+
+
+def add_points(x: Point, y: Point) -> Point:
+    den, xn, yn = _common(x, y)
+    return _reduced(den, tuple(map(operator.add, xn, yn)))
+
+
+def star_point(n: int, x: Point) -> Point:
+    """n . x; dividing n and den by their gcd keeps n.nums / den reduced."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    g = gcd(n, x.den)
+    k = n // g
+    return Point(x.den // g, tuple(k * c for c in x.nums))
+
+
 def elem_arch_family(w: Wedge, epsilons: Sequence) -> ArchFamily:
     """The points eps * ones, halved by the witness."""
-    return arch_family(w, epsilons, lambda p: p, lambda a: a)
+    return arch_family(w, epsilons, Point.make, lambda a: a.coords)
 
 
-def _elem_sampler(w: Wedge, rng: random.Random) -> Vec:
-    return tuple(
-        Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4))) for _ in range(w.dim)
-    )
+def _elem_sampler(w: Wedge, rng: random.Random, lo: int = -8) -> Point:
+    """Each coordinate draws a numerator in lo..8, then a denominator 1, 2
+    or 4; the point is held over 4, then reduced."""
+    draws = [(rng.randint(lo, 8), rng.choice((1, 2, 4))) for _ in range(w.dim)]
+    return _reduced(4, tuple(n * (4 // d) for n, d in draws))
 
 
-def _elem_nonneg_sampler(w: Wedge, rng: random.Random) -> Vec:
+def _elem_nonneg_sampler(w: Wedge, rng: random.Random) -> Point:
+    zero = Point(1, (0,) * w.dim)
     if w.is_zero:
-        return vzero(w.dim)
+        return zero
     if w.is_orthant:
-        return tuple(
-            Fraction(rng.randint(0, 8), rng.choice((1, 2, 4))) for _ in range(w.dim)
-        )
-    # Nonnegative combination of sampled cone members found by rejection.
+        return _elem_sampler(w, rng, 0)
+    # A sampled point that lies in the cone, found by rejection.
     for _ in range(200):
         v = _elem_sampler(w, rng)
-        if w.contains(v):
+        if w.contains(v.nums):
             return v
-    return vzero(w.dim)
+    return zero
 
 
 def make_elem_cornet(w: Wedge) -> CornetInstance:
     """The cornet (Q^d, +, ., <=_W); star is iterated addition, so every
     element is n-convex and the superadditivity law holds with equality."""
 
-    def star(n: int, x: Vec) -> Vec:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return vscale(n, x)
+    def leq(x: Point, y: Point) -> bool:
+        _, xn, yn = _common(x, y)
+        return w.leq(xn, yn)
 
     # 0 <= u + n*x and x <= n*a are both "u' + n.x' in W", so the threshold
     # decides them exactly for every element, boundary points included.
-    def arch_exact(x: Vec, u: Vec) -> tuple[bool, Optional[int]]:
-        n0 = threshold(w, u, x)
+    def arch_exact(x: Point, u: Point) -> tuple[bool, Optional[int]]:
+        _, un, xn = _common(u, x)
+        n0 = threshold(w, un, xn)
         return n0 is not None, n0
 
-    def bounded_exact(x: Vec, a: Vec) -> tuple[bool, Optional[int]]:
-        n0 = threshold(w, vneg(x), a)
+    def bounded_exact(x: Point, a: Point) -> tuple[bool, Optional[int]]:
+        _, xn, an = _common(x, a)
+        n0 = threshold(w, vneg(xn), an)
         return n0 is not None, n0
 
     return CornetInstance(
         name=f"elemQ(d={w.dim})",
-        zero=vzero(w.dim),
-        add=vadd,
-        star=star,
-        leq=w.leq,
+        zero=Point(1, (0,) * w.dim),
+        add=add_points,
+        star=star_point,
+        leq=leq,
         sampler=lambda rng: _elem_sampler(w, rng),
         nonneg_sampler=lambda rng: _elem_nonneg_sampler(w, rng),
         closure=lambda x: x,
-        serialize=lambda x: [str(c) for c in x],
+        serialize=lambda x: [str(c) for c in x.coords],
         arch_exact=arch_exact,
         bounded_exact=bounded_exact,
     )

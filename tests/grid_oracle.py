@@ -1,12 +1,12 @@
 """The brute-force rational grid that several test modules check exact
-decisions against, and the vector difference their reference order tests
-read."""
+decisions against, and the vector sum and difference that their reference
+computations read on Fraction tuples."""
 
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
-from cornets.geometry import vadd, vneg
+from cornets.geometry import DimensionMismatch, vneg
 
 
 def rational_grid(nvars: int, num_range: int, dens: Sequence[int]) -> Iterable[tuple]:
@@ -16,6 +16,13 @@ def rational_grid(nvars: int, num_range: int, dens: Sequence[int]) -> Iterable[t
         {Fraction(n, d) for d in dens for n in range(-num_range, num_range + 1)}
     )
     return product(axis, repeat=nvars)
+
+
+def vadd(u: tuple, v: tuple) -> tuple:
+    """u + v; DimensionMismatch when the dimensions differ."""
+    if len(u) != len(v):
+        raise DimensionMismatch(f"dim {len(u)} vs {len(v)}")
+    return tuple(a + b for a, b in zip(u, v))
 
 
 def vsub(u: tuple, v: tuple) -> tuple:

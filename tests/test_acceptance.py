@@ -33,7 +33,7 @@ from cornets.fuzzy import (
     odot,
     oplus,
 )
-from cornets.geometry import vadd, vscale
+from cornets.geometry import vscale
 from cornets.sets import (
     Repr,
     UpperSet,
@@ -48,6 +48,7 @@ from cornets.sets import (
     subset,
 )
 from cornets.wedges import Wedge, make_elem_cornet
+from grid_oracle import vadd
 
 W1 = Wedge.orthant(1)
 W2 = Wedge.orthant(2)
@@ -94,11 +95,12 @@ def test_criterion_03_embeddings():
         rng = case_rng(303, i)
         x, y = elem.sampler(rng), elem.sampler(rng)
         n = rng.randint(1, 6)
+        phi_x, phi_y = phi_embed(W2, x.coords), phi_embed(W2, y.coords)
         ok = (
-            phi_embed(W2, vadd(x, y)) == msum(phi_embed(W2, x), phi_embed(W2, y))
-            and phi_embed(W2, vscale(n, x)) == star_set(n, phi_embed(W2, x))
-            and elem.leq(x, y) == subset(phi_embed(W2, y), phi_embed(W2, x))
-            and (x == y or phi_embed(W2, x) != phi_embed(W2, y))
+            phi_embed(W2, elem.add(x, y).coords) == msum(phi_x, phi_y)
+            and phi_embed(W2, elem.star(n, x).coords) == star_set(n, phi_x)
+            and elem.leq(x, y) == subset(phi_y, phi_x)
+            and (x == y or phi_x != phi_y)
         )
         bad += not ok
     sets = make_set_cornet(W2, Repr.DISCRETE)

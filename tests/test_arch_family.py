@@ -12,7 +12,7 @@ from cornets.core import ArchFamily
 from cornets.fuzzy import NoArchimedeanElements, chi, fuzzy_arch_family
 from cornets.geometry import rat, vscale
 from cornets.sets import Repr, UpperSet, set_arch_family
-from cornets.wedges import Wedge, elem_arch_family
+from cornets.wedges import Point, Wedge, elem_arch_family
 
 # ``ones`` is strictly interior to each of these.
 INTERIOR_WEDGES = [
@@ -27,14 +27,14 @@ NON_INTERIOR_WEDGES = [Wedge.from_rows([[1, 0], [-1, 1]]), Wedge.zero(2)]
 
 def _ref_elem_arch_family(w, epsilons):
     """Reference: the element builder before the shared one, without the
-    interior check."""
+    interior check, on Fraction coordinates wrapped as points."""
     eps = tuple(sorted((rat(e) for e in epsilons), reverse=True))
     if any(e <= 0 for e in eps):
         raise ValueError("epsilons must be positive")
     ones = w.ones()
     return ArchFamily(
-        elements=tuple(vscale(e, ones) for e in eps),
-        witness=lambda a: vscale(F(1, 2), a),
+        elements=tuple(Point.make(vscale(e, ones)) for e in eps),
+        witness=lambda a: Point.make(vscale(F(1, 2), a.coords)),
     )
 
 
@@ -102,7 +102,7 @@ class TestAgainstReferences:
 
     def test_members_largest_first(self):
         fam = elem_arch_family(Wedge.orthant(2), [F(1, 4), 1, F(1, 2)])
-        assert fam.elements == ((1, 1), (F(1, 2), F(1, 2)), (F(1, 4), F(1, 4)))
+        assert [a.coords for a in fam.elements] == [(1, 1), (F(1, 2), F(1, 2)), (F(1, 4), F(1, 4))]
 
 
 class TestRefusals:

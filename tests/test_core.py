@@ -42,10 +42,14 @@ from cornets.sets import (
     order_convex_z,
     set_arch_family,
 )
-from cornets.wedges import Wedge, elem_arch_family, make_elem_cornet
+from cornets.wedges import Point, Wedge, elem_arch_family, make_elem_cornet
 
 ELEM = make_elem_cornet(Wedge.orthant(2))
 SETQ = make_set_cornet(Wedge.orthant(2), Repr.DISCRETE)
+
+
+def pt(*coords):
+    return Point.make(coords)
 
 
 def dot_mul_naive(inst, n: int, x):
@@ -76,7 +80,7 @@ class TestDotMul:
         assert dot_mul(SETQ, n, x) == dot_mul_naive(SETQ, n, x)
 
     def test_zero_gives_unit(self):
-        assert dot_mul(ELEM, 0, (F(3), F(4))) == ELEM.zero
+        assert dot_mul(ELEM, 0, pt(3, 4)) == ELEM.zero
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -126,7 +130,7 @@ class TestLawSuites:
 class TestConvexity:
     def test_elem_always_convex(self):
         for n in range(1, 7):
-            assert is_n_convex(ELEM, (F(1), F(-3, 2)), n)
+            assert is_n_convex(ELEM, pt(1, F(-3, 2)), n)
 
     def test_set_convexity_detects_gaps(self):
         A = discrete(Wedge.orthant(2), [(0, 1), (1, 0)])
@@ -141,30 +145,30 @@ class TestConvexity:
 
 class TestArchimedean:
     def test_interior_element_verified_analytically(self):
-        u = (F(-5), F(-7))
+        u = pt(-5, -7)
         h = Horizon(12, (u,))
-        rec = is_archimedean(ELEM, (F(1), F(1, 2)), h)
+        rec = is_archimedean(ELEM, pt(1, F(1, 2)), h)
         assert rec.verdict is Verdict.ANALYTICALLY_VERIFIED
         n0 = rec.details["n0"][0]
         assert n0 == 14  # max(ceil(5/1), ceil(7/(1/2)))
         # Exactness: holds at n0, fails just below it.
-        assert ELEM.leq(ELEM.zero, ELEM.add(u, ELEM.star(n0, (F(1), F(1, 2)))))
+        assert ELEM.leq(ELEM.zero, ELEM.add(u, ELEM.star(n0, pt(1, F(1, 2)))))
         if n0 > 1:
             assert not ELEM.leq(
-                ELEM.zero, ELEM.add(u, ELEM.star(n0 - 1, (F(1), F(1, 2))))
+                ELEM.zero, ELEM.add(u, ELEM.star(n0 - 1, pt(1, F(1, 2))))
             )
 
     def test_boundary_element_refuted(self):
         # x on the boundary cannot absorb a probe that is negative in the
         # flat coordinate.
-        h = Horizon(12, ((F(-1), F(-1)),))
-        rec = is_archimedean(ELEM, (F(1), F(0)), h)
+        h = Horizon(12, (pt(-1, -1),))
+        rec = is_archimedean(ELEM, pt(1, 0), h)
         assert not rec.holds
 
     def test_bounded_against_family(self):
         fam = elem_arch_family(Wedge.orthant(2), [F(1), F(1, 2)])
         h = Horizon(12)
-        rec = is_A_bounded(ELEM, (F(3), F(5)), fam, h)
+        rec = is_A_bounded(ELEM, pt(3, 5), fam, h)
         assert rec.verdict is Verdict.ANALYTICALLY_VERIFIED
 
     def test_continuity_and_halving_chains(self):

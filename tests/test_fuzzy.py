@@ -24,10 +24,12 @@ from cornets.core import (
 from cornets.sets import (
     Repr,
     UnsupportedOperation,
+    UpperSet,
     discrete,
     msum,
     polytopic,
     star_set,
+    subset,
 )
 from cornets.fuzzy import (
     NoArchimedeanElements,
@@ -244,6 +246,75 @@ def _ref_oplus(f, g):
     alphas = sorted({a for a, _ in f.levels + g.levels if a <= cap}, reverse=True)
     levels = [(a, msum(level_cut(f, a), level_cut(g, a))) for a in alphas]
     return StepFuzzy.make(f.wedge, min(f.p, g.p), levels)
+
+
+def _ref_leq_fuzzy(f, g):
+    """Reference: leq_fuzzy asking level_cut once per level of f."""
+    for a, cut in f.levels:
+        gcut = level_cut(g, a)
+        if gcut is None or not subset(cut, gcut):
+            return False
+    return True
+
+
+# Level values that f and g share in part; tops below 1 need p < 1.
+LEVEL_POOL = (F(1), F(3, 4), F(2, 3), F(1, 2), F(1, 3), F(1, 4))
+
+
+@st.composite
+def step_pairs(draw):
+    """Two step functions over one wedge, p and cut representation, with
+    tops and lower levels drawn from LEVEL_POOL and nested cuts."""
+    w = draw(st.sampled_from([W1, W2]))
+    p = draw(st.sampled_from([F(1), F(1, 2)]))
+    rp = draw(st.sampled_from(list(Repr)))
+    point = st.tuples(*[st.integers(min_value=-3, max_value=3)] * w.dim)
+
+    def step():
+        top = draw(st.sampled_from([a for a in LEVEL_POOL if a >= p]))
+        lower = draw(st.lists(st.sampled_from([a for a in LEVEL_POOL if a < top]), unique=True, max_size=3))
+        gens, levels = [], []
+        for a in [top] + sorted(lower, reverse=True):
+            gens = gens + draw(st.lists(point, min_size=1, max_size=2))
+            levels.append((a, UpperSet.make(w, rp, gens)))
+        return StepFuzzy.make(w, p, levels)
+
+    return step(), step()
+
+
+class TestLevelWalk:
+    """oplus and leq_fuzzy walk both level lists once; the references look
+    each cut up with level_cut."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_pairs())
+    def test_oplus_matches_reference(self, fg):
+        f, g = fg
+        for x, y in ((f, g), (g, f), (f, f)):
+            assert oplus(x, y) == _ref_oplus(x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_pairs())
+    def test_leq_matches_reference(self, fg):
+        f, g = fg
+        h = oplus(f, g)
+        for x, y in ((f, g), (g, f), (f, f), (f, h), (h, f), (g, h), (h, g)):
+            assert leq_fuzzy(x, y) == _ref_leq_fuzzy(x, y)
+
+    def test_unequal_tops_and_shared_levels(self):
+        # p = 1/2; f tops out at 3/4, and 1/2 is a level of both.  The sum
+        # stops at the lower top: g's cut at 3/4 is its top cut, and f's cut
+        # at 1/4 is its lowest.
+        half = F(1, 2)
+        f = StepFuzzy.make(W1, half, [(F(3, 4), ray(2)), (half, ray(0))])
+        g = StepFuzzy.make(W1, half, [(F(1), ray(1)), (half, ray(-1)), (F(1, 4), ray(-2))])
+        h = oplus(f, g)
+        assert h.levels == ((F(3, 4), ray(3)), (half, ray(-1)), (F(1, 4), ray(-2)))
+        assert h == _ref_oplus(f, g) == oplus(g, f)
+        # g reaches 1, where f has no cut, so g <= f fails; each cut of f lies
+        # within g's widest cut at its level, so f <= g.
+        assert not leq_fuzzy(g, f) and not _ref_leq_fuzzy(g, f)
+        assert leq_fuzzy(f, g) and _ref_leq_fuzzy(f, g)
 
 
 def _ref_odot(n, f):

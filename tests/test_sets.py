@@ -22,7 +22,7 @@ from cornets.core import (
     is_n_convex,
 )
 from cornets import sets as sets_module
-from cornets.geometry import join_orthant, lp_feasible, vadd, vdot, vscale, vzero
+from cornets.geometry import join_orthant, lp_feasible, vdot, vscale, vzero
 from cornets.sets import (
     Repr,
     UnsupportedOperation,
@@ -50,8 +50,8 @@ from cornets.sets import (
     star_set,
     subset,
 )
-from cornets.wedges import Wedge, make_elem_cornet
-from grid_oracle import rational_grid, vsub
+from cornets.wedges import Point, Wedge, make_elem_cornet
+from grid_oracle import rational_grid, vadd, vsub
 
 W2 = Wedge.orthant(2)
 WZ = Wedge.zero(1)
@@ -177,10 +177,12 @@ def _ref_interval_member(gens, p):
 
 
 # One wedge for each branch of polytopic canonicalisation, checked against
-# the LP scan: the orthant, zero and general dominance steps, followed by the
-# 2-d orthant chain or the one-pass scan, whose vertex certificates read one
-# value per row; so the last three are poly3's wedge, a 4-d wedge and a 3-d
-# wedge with a redundant row.
+# the LP scan: the zero, staircase (at most two rows) and height-ordered
+# dominance steps, followed by the 2-d orthant chain or the one-pass scan,
+# whose vertex certificates read one value per row; so after the orthant of
+# Q^2 come poly3's wedge, a 4-d wedge and a 3-d wedge with a redundant row,
+# then a second skew 2-d wedge for the staircase and a 2-d wedge whose
+# redundant third row keeps it on the height-ordered pass.
 SCAN_WEDGES = [
     Wedge.orthant(3),
     Wedge.zero(2),
@@ -194,7 +196,11 @@ SCAN_WEDGES = [
     Wedge.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 1]]),
     Wedge.from_rows([[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1]]),
     Wedge.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]),
+    Wedge.from_rows([[1, 0], [1, 1]]),
+    Wedge.from_rows([[1, 0], [0, 1], [1, 1]]),
 ]
+# The wedges that _canonicalize sweeps as a staircase.
+STAIRCASE_WEDGES = [w for w in SCAN_WEDGES if not w.is_zero and len(w.rows) <= 2]
 
 
 class TestCanonicalization:
@@ -226,6 +232,32 @@ class TestCanonicalization:
         ref = _ref_dominance(w, gens)
         assert _canonicalize(w, Repr.DISCRETE, tuple(gens)) == ref
         assert _canonicalize(w, Repr.POLYTOPIC, tuple(gens)) == _restart_scan(w, ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_staircase_matches_reference(self, data):
+        # Up to 40 generators on a small grid, so that many share their first
+        # value (and their second), with repeats; both representations.
+        w = data.draw(st.sampled_from(STAIRCASE_WEDGES))
+        coord = st.one_of(
+            st.integers(min_value=-3, max_value=3),
+            st.fractions(min_value=-3, max_value=3, max_denominator=2),
+        )
+        gens = data.draw(st.lists(st.tuples(*[coord] * w.dim), min_size=1, max_size=40))
+        ref = _ref_dominance(w, gens)
+        assert _canonicalize(w, Repr.DISCRETE, tuple(gens)) == ref
+        assert _canonicalize(w, Repr.POLYTOPIC, tuple(gens)) == _restart_scan(w, ref)
+
+    def test_staircase_ties_in_first_value(self):
+        # The canonical rows are (1, 1) then (1, 0), so (x, y) has the values
+        # (x + y, x).  (3, -2), at first value 1, comes first and stays.
+        # (0, 2), (1, 1) and (4, -2) tie at first value 2: (0, 2) has the
+        # least second value and stays, and the other two lie above it, as
+        # does (0, 5).
+        w = Wedge.from_rows([[1, 0], [1, 1]])
+        gens = [(0, 5), (0, 2), (3, -2), (4, -2), (1, 1)]
+        assert _canonicalize(w, Repr.DISCRETE, tuple(gens)) == _ref_dominance(w, gens)
+        assert _canonicalize(w, Repr.DISCRETE, tuple(gens)) == ((0, 2), (3, -2))
 
     def test_discrete_antichain(self):
         A = discrete(W2, [(0, 0), (1, 1), (0, 3)])
@@ -634,9 +666,10 @@ class TestPhiEmbedding:
             x = tuple(F(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(2))
             y = tuple(F(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(2))
             n = rng.randint(1, 5)
-            assert phi_embed(W2, vadd(x, y)) == msum(phi_embed(W2, x), phi_embed(W2, y))
-            assert phi_embed(W2, vscale(n, x)) == star_set(n, phi_embed(W2, x))
-            assert self.ELEM.leq(x, y) == subset(phi_embed(W2, y), phi_embed(W2, x))
+            px, py = Point.make(x), Point.make(y)
+            assert phi_embed(W2, self.ELEM.add(px, py).coords) == msum(phi_embed(W2, x), phi_embed(W2, y))
+            assert phi_embed(W2, self.ELEM.star(n, px).coords) == star_set(n, phi_embed(W2, x))
+            assert self.ELEM.leq(px, py) == subset(phi_embed(W2, y), phi_embed(W2, x))
             # Injectivity on distinct points.
             if x != y:
                 assert phi_embed(W2, x) != phi_embed(W2, y)

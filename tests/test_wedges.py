@@ -1,8 +1,10 @@
 """Wedges over Q^d and the element cornet: order structure, pointedness
-enforcement, and the closed-form threshold behind every exact Archimedean
-and boundedness decision, checked against brute force and against the
-interior-only deciders it replaced."""
+enforcement, the closed-form threshold behind every exact Archimedean and
+boundedness decision, checked against brute force and against the
+interior-only deciders it replaced, and the integer points against the
+Fraction-tuple element cornet they replaced."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,23 +12,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cornets.core import (
+    CornetInstance,
     Horizon,
     Verdict,
     VerdictRecord,
+    case_rng,
     check_cornet_laws,
     check_lemma_identities,
     is_archimedean,
 )
-from cornets.geometry import DimensionMismatch, vadd, vdot, vneg, vscale
+from cornets.geometry import DimensionMismatch, vdot, vneg, vscale, vzero
 from cornets.sets import discrete, msum
 from cornets.wedges import (
     NotPointedError,
+    Point,
     Wedge,
     elem_arch_family,
     make_elem_cornet,
     threshold,
 )
-from grid_oracle import vsub
+from grid_oracle import vadd, vsub
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 vec2 = st.tuples(rationals, rationals)
@@ -229,7 +234,7 @@ class TestInteriorThresholds:
         x = (F(1), F(0))
         assert threshold(self.W, (F(-1), F(-1)), x) is None
         inst = make_elem_cornet(self.W)
-        rec = is_archimedean(inst, x, Horizon(10, ((F(-1), F(-1)),)))
+        rec = is_archimedean(inst, Point.make(x), Horizon(10, (Point.make((-1, -1)),)))
         assert rec.verdict is Verdict.ANALYTICALLY_REFUTED
         assert rec.details["refuting_probe"] == ["-1", "-1"]
 
@@ -248,8 +253,8 @@ class TestInteriorThresholds:
         assert threshold(self.W, (F(-1), F(-1)), a) is None
         assert threshold(self.W, (F(-1), F(1)), a) == 1
         inst = make_elem_cornet(self.W)
-        assert inst.bounded_exact((F(1), F(1)), a) == (False, None)
-        assert inst.bounded_exact((F(1), F(-1)), a) == (True, 1)
+        assert inst.bounded_exact(Point.make((1, 1)), Point.make(a)) == (False, None)
+        assert inst.bounded_exact(Point.make((1, -1)), Point.make(a)) == (True, 1)
 
 
 class TestThresholdDifferential:
@@ -284,11 +289,12 @@ class TestThresholdDifferential:
         x, u, a = data.draw(vec), data.draw(vec), data.draw(vec)
         inst = make_elem_cornet(w)
         ref = _ref_interior_archimedean(w, x, [u])
+        px, pu, pa = Point.make(x), Point.make(u), Point.make(a)
         if ref.verdict.exact:
-            assert inst.arch_exact(x, u) == (True, ref.details["n0"][0])
+            assert inst.arch_exact(px, pu) == (True, ref.details["n0"][0])
         if w.interior_contains(a):
             ref = _ref_wbounded_check(w, x, a)
-            assert inst.bounded_exact(x, a) == (True, ref.details["n0"])
+            assert inst.bounded_exact(px, pa) == (True, ref.details["n0"])
 
 
 class TestElemCornet:
@@ -305,7 +311,7 @@ class TestElemCornet:
         # In the element cornet star is the dot action, so law (iii) holds
         # with equality.
         inst = make_elem_cornet(Wedge.orthant(2))
-        x = (F(3, 4), F(-2))
+        x = Point.make((F(3, 4), F(-2)))
         for n in range(1, 5):
             for m in range(1, 5):
                 assert inst.star(n + m, x) == inst.add(inst.star(n, x), inst.star(m, x))
@@ -313,8 +319,8 @@ class TestElemCornet:
     def test_family_witnesses_halve(self):
         fam = elem_arch_family(Wedge.orthant(2), [F(1)])
         (a,) = fam.elements
-        b = fam.witness(a)
-        assert (b[0] + b[0], b[1] + b[1]) == a
+        b = fam.witness(a).coords
+        assert (b[0] + b[0], b[1] + b[1]) == a.coords
 
     def test_nonneg_sampler_lands_in_wedge(self):
         from cornets.core import case_rng
@@ -322,4 +328,95 @@ class TestElemCornet:
         for w in (Wedge.orthant(2), Wedge.zero(2), Wedge.from_rows([[1, 0], [-1, 1]])):
             inst = make_elem_cornet(w)
             for i in range(20):
-                assert w.contains(inst.nonneg_sampler(case_rng(9, i)))
+                assert w.contains(inst.nonneg_sampler(case_rng(9, i)).coords)
+
+
+def _ref_elem_cornet(w: Wedge) -> CornetInstance:
+    """Reference: the element cornet on Fraction tuples, before points held
+    int numerators over one denominator."""
+
+    def sampler(rng: random.Random):
+        return tuple(F(rng.randint(-8, 8), rng.choice((1, 2, 4))) for _ in range(w.dim))
+
+    def nonneg_sampler(rng: random.Random):
+        if w.is_zero:
+            return vzero(w.dim)
+        if w.is_orthant:
+            return tuple(F(rng.randint(0, 8), rng.choice((1, 2, 4))) for _ in range(w.dim))
+        for _ in range(200):
+            v = sampler(rng)
+            if w.contains(v):
+                return v
+        return vzero(w.dim)
+
+    def star(n: int, x):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return vscale(n, x)
+
+    def arch_exact(x, u):
+        n0 = threshold(w, u, x)
+        return n0 is not None, n0
+
+    def bounded_exact(x, a):
+        n0 = threshold(w, vneg(x), a)
+        return n0 is not None, n0
+
+    return CornetInstance(
+        name=f"elemQ(d={w.dim})",
+        zero=vzero(w.dim),
+        add=vadd,
+        star=star,
+        leq=w.leq,
+        sampler=sampler,
+        nonneg_sampler=nonneg_sampler,
+        closure=lambda x: x,
+        serialize=lambda x: [str(c) for c in x],
+        arch_exact=arch_exact,
+        bounded_exact=bounded_exact,
+    )
+
+
+# The orthant of Q^3 and the two skew wedges of THRESHOLD_WEDGES.
+ELEM_WEDGES = [Wedge.orthant(3)] + THRESHOLD_WEDGES[2:]
+
+
+class TestPointsAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_operations_match(self, data):
+        w = data.draw(st.sampled_from(ELEM_WEDGES))
+        new, ref = make_elem_cornet(w), _ref_elem_cornet(w)
+        point = st.tuples(*[rationals] * w.dim)
+        x, u = data.draw(point), data.draw(point)
+        # y is x itself, x moved by some d, or any point, so that both
+        # answers of the order show up.
+        y = data.draw(st.one_of(st.just(x), point.map(lambda d: vadd(x, d)), point))
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        px, py, pu = Point.make(x), Point.make(y), Point.make(u)
+        assert px.coords == x and new.serialize(px) == ref.serialize(x)
+        assert (px == py) == (x == y)
+        assert new.add(px, py).coords == ref.add(x, y)
+        assert new.star(n, px).coords == ref.star(n, x)
+        assert new.leq(px, py) == ref.leq(x, y)
+        assert new.leq(py, px) == ref.leq(y, x)
+        assert new.arch_exact(px, pu) == ref.arch_exact(x, u)
+        assert new.bounded_exact(px, py) == ref.bounded_exact(x, y)
+        assert new.zero.coords == ref.zero
+
+    @pytest.mark.parametrize("w", ELEM_WEDGES, ids=str)
+    def test_samplers_draw_the_same_points(self, w):
+        new, ref = make_elem_cornet(w), _ref_elem_cornet(w)
+        for i in range(50):
+            assert new.sampler(case_rng(8, i)).coords == ref.sampler(case_rng(8, i))
+            assert new.nonneg_sampler(case_rng(8, i)).coords == ref.nonneg_sampler(case_rng(8, i))
+
+    def test_points_are_reduced(self):
+        half = Point.make((F(1, 2), F(-3, 2)))
+        assert (half.den, half.nums) == (2, (1, -3))
+        assert Point.make((F(2, 4), F(-6, 4))) == half
+        inst = make_elem_cornet(Wedge.orthant(2))
+        # 1/2 + 1/2 = 1: the sum is brought back over denominator 1, and so
+        # is a star whose n cancels the denominator.
+        assert inst.add(half, half) == Point(1, (1, -3)) == inst.star(2, half)
+        assert inst.star(3, half) == Point(2, (3, -9))
