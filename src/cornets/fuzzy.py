@@ -117,11 +117,6 @@ def level_cut(f: StepFuzzy, alpha) -> Optional[UpperSet]:
     alpha = rat(alpha)
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
-    return _cut(f, alpha)
-
-
-def _cut(f: StepFuzzy, alpha: Fraction) -> Optional[UpperSet]:
-    """``level_cut`` for an alpha already known to be a Fraction in (0, 1]."""
     hit = None
     for a, cut in f.levels:
         if a < alpha:

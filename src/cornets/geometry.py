@@ -1,10 +1,16 @@
-"""Exact rational vectors and one exact linear feasibility engine.
+"""Exact rational vectors, the package's one number format, and one exact
+linear feasibility engine.
 
-Vectors are plain tuples of exact rationals, which keeps them hashable,
-sortable and trivially immutable: ``fractions.Fraction`` at the package's
-API, and ``int`` numerators inside ``sets`` (over one common denominator per
-set), inside ``wedges.Point`` (over one denominator per point) and in
-``wedges``' coprime rows.  The vector helpers work on either.
+Vectors are plain tuples of exact rationals (hashable, sortable, immutable):
+``fractions.Fraction`` at the package's API, ``int`` inside; the vector
+helpers work on either.  Inside, rational vectors are held as rows of ``int``
+numerators over one positive denominator, reduced so that gcd(den, every
+numerator) == 1: ``sets.UpperSet``'s generators and ``wedges.Point``'s one
+row.  ``over_lcm`` builds that form (the LP reads its system through it, not
+reduced), ``reduced`` divides out the gcd, ``over_common`` puts two operands
+over one denominator and ``star_scaled`` multiplies by n; every decision of
+the package is invariant under such a positive scaling, so it compares ints.
+
 ``lp_feasible`` decides a system of affine inequalities with a phase-1
 simplex that pivots on integers and returns an exact rational witness.  Its
 variables are free, or all nonnegative with ``nonneg=True``, which gives each
@@ -20,11 +26,12 @@ exact decisions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
 Vec = tuple[Fraction, ...]
+Rows = tuple[tuple[int, ...], ...]
 
 
 class DimensionMismatch(ValueError):
@@ -73,6 +80,50 @@ def join_orthant(u: Vec, v: Vec) -> Vec:
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
+# --- The exact number format ------------------------------------------------
+
+
+def over_lcm(rows: Sequence[Sequence]) -> tuple[int, Rows]:
+    """Exact rows (``int``s and ``Fraction``s) as ``int`` numerators over the
+    lcm of all their denominators."""
+    den = lcm(*(c.denominator for r in rows for c in r))
+    return den, tuple([tuple([c.numerator * (den // c.denominator) for c in r]) for r in rows])
+
+
+def reduced(den: int, rows: Rows) -> tuple[int, Rows]:
+    """rows / den with den and every numerator divided by their gcd,
+    returned unchanged once the running gcd reaches 1."""
+    g = den
+    for r in rows:
+        g = gcd(g, *r)
+        if g == 1:
+            return den, rows
+    return den // g, tuple([tuple([c // g for c in r]) for r in rows])
+
+
+def _rescaled(rows: Rows, k: int) -> Rows:
+    """rows times k; at k == 1 the rows themselves, not a copy."""
+    if k == 1:
+        return rows
+    return tuple([tuple([k * c for c in r]) for r in rows])
+
+
+def over_common(den_a: int, a: Rows, den_b: int, b: Rows) -> tuple[int, Rows, Rows]:
+    """The numerators of a / den_a and b / den_b over the lcm of their
+    denominators; equal denominators rescale nothing."""
+    if den_a == den_b:
+        return den_a, a, b
+    den = lcm(den_a, den_b)
+    return den, _rescaled(a, den // den_a), _rescaled(b, den // den_b)
+
+
+def star_scaled(n: int, den: int, rows: Rows) -> tuple[int, Rows]:
+    """n times rows / den; dividing n and den by their gcd keeps a reduced
+    operand reduced."""
+    g = gcd(n, den)
+    return den // g, _rescaled(rows, n // g)
+
+
 # --- Linear feasibility -----------------------------------------------------
 #
 # An affine inequality is a pair (coeffs, const) meaning coeffs . x + const >= 0.
@@ -85,21 +136,6 @@ Ineq = tuple[Vec, Fraction]
 # perfbench/tracer.py reads this name to split its lp.fm and lp.simplex
 # counts; at 0 every call counts as simplex, the one engine there is.
 FM_VAR_LIMIT = 0
-
-
-def _integer_rows(ineqs: Sequence[Ineq]) -> list[list[int]]:
-    """Each inequality as ``[*coeffs, const]`` in ints, all over one common
-    denominator.
-
-    One positive factor for the whole system keeps the phase-1 objective (the
-    plain sum of the artificials) and hence every pivot the same as on the
-    rational system; a factor per row would weight the artificials unequally.
-    """
-    mult = lcm(*(v.denominator for coeffs, const in ineqs for v in (*coeffs, const)))
-    return [
-        [v.numerator * (mult // v.denominator) for v in (*coeffs, const)]
-        for coeffs, const in ineqs
-    ]
 
 
 def _simplex_feasible(ineqs: Sequence[Ineq], nvars: int, nonneg: bool) -> Optional[Vec]:
@@ -120,7 +156,12 @@ def _simplex_feasible(ineqs: Sequence[Ineq], nvars: int, nonneg: bool) -> Option
     table: list[list[int]] = []
     basis: list[int] = []
     n_art = 0
-    for i, ints in enumerate(_integer_rows(ineqs)):
+    # One positive factor for the whole system keeps the phase-1 objective
+    # (the plain sum of the artificials) and hence every pivot the same as
+    # on the rational system; a factor per row would weight the artificials
+    # unequally.
+    _, rows = over_lcm([(*coeffs, const) for coeffs, const in ineqs])
+    for i, ints in enumerate(rows):
         if nonneg:
             row = [-c for c in ints[:-1]] + [0] * m + [ints[-1]]
         else:

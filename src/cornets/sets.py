@@ -9,11 +9,8 @@ survivors to the vertices of conv(F) + W.  One canonical generator makes a
 translated wedge, stored as DISCRETE; no other denotation has two forms, as
 a discrete set of several generators is never convex.  So convexity, and with
 it n-convexity for every n >= 2, is read off the form, not off n.A.
-Inside, a set holds its generators as ``int`` numerators ``nums`` over one
-positive common denominator ``den``, reduced so that gcd(den, every
-numerator) == 1; ``generators`` gives them back as Fractions at the API.
-Operations on two sets rescale both to the lcm of their denominators and then
-work on ints only; every decision here is invariant under that scaling.
+Inside, a set holds its generators ``nums`` over ``den`` in ``geometry``'s
+exact number format; ``generators`` gives them back as Fractions at the API.
 Dominance, membership and the thresholds read the order through
 ``Wedge.values``; only the zero wedge, whose order is equality, is handled
 here (no dominance step, and membership is a lookup among the generators).
@@ -39,12 +36,14 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
 from operator import add, le
 from typing import Iterable, Optional, Sequence
 
 from .core import ArchFamily, CornetInstance, UnsupportedOperation
-from .geometry import Vec, _exact, join_orthant, lp_feasible, vneg, vzero
+from .geometry import (
+    Rows, Vec, _exact, join_orthant, lp_feasible, over_common, over_lcm, reduced, star_scaled,
+    vneg, vzero,
+)
 from .wedges import Wedge, arch_family, threshold
 
 _MAX_GENS = 5  # the most generators a sampled set has
@@ -59,9 +58,6 @@ class WedgeMismatch(ValueError):
     pass
 
 
-Nums = tuple[tuple[int, ...], ...]
-
-
 @dataclass(frozen=True)
 class UpperSet:
     """The generators nums[i] / den, in canonical form; equality and hashing
@@ -70,7 +66,7 @@ class UpperSet:
     wedge: Wedge
     repr: Repr
     den: int
-    nums: Nums
+    nums: Rows
 
     @staticmethod
     def make(wedge: Wedge, repr: Repr, generators: Iterable[Iterable]) -> "UpperSet":
@@ -81,17 +77,17 @@ class UpperSet:
         for g in gens:
             if len(g) != wedge.dim:
                 raise ValueError(f"generator dim {len(g)} vs wedge dim {wedge.dim}")
-        den = lcm(*(c.denominator for g in gens for c in g))
-        nums = [tuple(c.numerator * (den // c.denominator) for c in g) for g in gens]
-        return _build(wedge, repr, den, nums)
+        return _build(wedge, repr, *over_lcm(gens))
 
     @functools.cached_property
     def generators(self) -> tuple[Vec, ...]:
         return tuple(tuple(Fraction(c, self.den) for c in g) for g in self.nums)
 
     def member(self, p: Vec) -> bool:
-        """p in the set, asked of the numerators with p scaled once by den."""
-        return _has(self.wedge, self.repr, self.nums, tuple(_times(c, self.den) for c in p))
+        """p in the set, asked of the numerators with p put over one
+        denominator with the generators."""
+        _, nums, (q,) = over_common(self.den, self.nums, *over_lcm((tuple(map(_exact, p)),)))
+        return _has(self.wedge, self.repr, nums, q)
 
 
 def discrete(wedge: Wedge, generators: Iterable[Iterable]) -> UpperSet:
@@ -107,27 +103,15 @@ def _build(w: Wedge, rp: Repr, den: int, nums: Iterable[tuple[int, ...]]) -> Upp
     divide den and the survivors by their gcd.  Pruning comes first, because
     a pruned generator may be the one that kept the gcd at 1.  One survivor
     makes a translated wedge, stored as DISCRETE."""
-    nums = _canonicalize(w, rp, tuple(nums))
-    g = gcd(den, *(c for v in nums for c in v))
-    if g != 1:
-        den //= g
-        nums = tuple(tuple(c // g for c in v) for v in nums)
+    den, nums = reduced(den, _canonicalize(w, rp, tuple(nums)))
     if len(nums) == 1:
         rp = Repr.DISCRETE
     return UpperSet(w, rp, den, nums)
 
 
-def _scaled(nums: Nums, k: int) -> Nums:
-    return tuple(tuple(k * c for c in v) for v in nums)
-
-
-def _common(A: UpperSet, B: UpperSet) -> tuple[int, Nums, Nums]:
-    """The generators of A and B as numerators over the lcm of their
-    denominators; equal denominators rescale nothing."""
-    if A.den == B.den:
-        return A.den, A.nums, B.nums
-    den = lcm(A.den, B.den)
-    return den, _scaled(A.nums, den // A.den), _scaled(B.nums, den // B.den)
+def _common(A: UpperSet, B: UpperSet) -> tuple[int, Rows, Rows]:
+    """The generators of A and B as numerators over one denominator."""
+    return over_common(A.den, A.nums, B.den, B.nums)
 
 
 def _canonicalize(w: Wedge, rp: Repr, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
@@ -232,24 +216,20 @@ def _poly_member_lp(w: Wedge, gens: Sequence[Vec], p: Vec) -> bool:
     return lp_feasible(ineqs, k, nonneg=True) is not None
 
 
-def _times(c, den: int):
-    """c * den for an int or a Fraction c, as an int when it is one."""
-    n, r = divmod(c.numerator * den, c.denominator)
-    return c * den if r else n
-
-
-def _has(w: Wedge, rp: Repr, nums: Nums, q) -> bool:
+def _has(w: Wedge, rp: Repr, nums: Rows, q) -> bool:
     """q in the set generated by nums, q and nums over one denominator."""
-    if rp is Repr.DISCRETE:
+    if rp is Repr.DISCRETE and w.is_zero:
         # Over the zero wedge g <= q only for g == q, and a tuple lookup is
         # cheaper than the wedge test (the comparisons that dominate `hunt`).
-        if w.is_zero:
-            return q in nums
-        return any(w.leq(g, q) for g in nums)
-    if w.is_orthant and w.dim == 2:
+        return q in nums
+    if rp is Repr.POLYTOPIC and w.is_orthant and w.dim == 2:
         return _member_chain(nums, q)
-    # g + W lies in conv(nums) + W, so a generator below q certifies it.
-    return any(w.leq(g, q) for g in nums) or _poly_member_lp(w, nums, q)
+    # q's values are read once.  g + W lies in conv(nums) + W, so for a
+    # polytopic set too a generator below q certifies it.
+    qv = w.values(q)
+    if any(all(map(le, w.values(g), qv)) for g in nums):
+        return True
+    return rp is Repr.POLYTOPIC and _poly_member_lp(w, nums, q)
 
 
 def _member_chain(chain: Sequence[Vec], p: Vec) -> bool:
@@ -283,12 +263,10 @@ def star_set(n: int, A: UpperSet) -> UpperSet:
     """n*A = {n.a + w}; over a divisible wedge this is n.F + W exactly.
 
     Scaling by n >= 1 keeps the canonical form (the sort order, dominance
-    and the hull vertices all survive it), so the generators skip ``_build``;
-    dividing n and den by their gcd keeps the fraction n.nums / den reduced."""
+    and the hull vertices all survive it), so the generators skip ``_build``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = gcd(n, A.den)
-    return UpperSet(A.wedge, A.repr, A.den // g, _scaled(A.nums, n // g))
+    return UpperSet(A.wedge, A.repr, *star_scaled(n, A.den, A.nums))
 
 
 def subset(A: UpperSet, B: UpperSet) -> bool:

@@ -12,11 +12,10 @@ and ``arch_family`` the one builder of their Archimedean families, which
 needs ``ones`` strictly interior to W.  ``Wedge.values`` is the one way a
 point is read against the rows, for membership, the order and ``threshold``
 alike; over the orthant these are the coordinates themselves.
-An element is a ``Point``: ``int`` numerators over one positive, reduced
-denominator, as ``sets.UpperSet`` holds its generators, with ``coords``
-giving the ``Fraction`` view.  Addition, star, the order and both exact
-deciders put two points over the lcm of their denominators and then work on
-ints only; the order and ``threshold`` are unchanged by that scaling.
+An element is a ``Point``, held in ``geometry``'s exact number format as
+one row of ``int`` numerators over its denominator, with ``coords`` giving
+the ``Fraction`` view; the order and ``threshold`` are read on two points
+put over one denominator.
 """
 
 from __future__ import annotations
@@ -26,21 +25,14 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .core import ArchFamily, CornetInstance
 from .geometry import (
-    DimensionMismatch,
-    Vec,
-    _exact,
-    lp_feasible,
-    rat,
-    vdot,
-    vneg,
-    vscale,
+    DimensionMismatch, Vec, _exact, lp_feasible, over_common, over_lcm, rat, reduced,
+    star_scaled, vdot, vneg, vscale,
 )
-
 
 class NotPointedError(ValueError):
     """The cone contains a line, so it cannot order the space."""
@@ -62,8 +54,7 @@ def _canonical(rows: Sequence[Vec]) -> tuple[Vec, ...]:
     order e_1, ..., e_d)."""
     canon = set()
     for row in rows:
-        mult = lcm(*(c.denominator for c in row))
-        ints = [c.numerator * (mult // c.denominator) for c in row]
+        _, (ints,) = over_lcm((row,))
         g = gcd(*ints)
         if g:
             canon.add(tuple(n // g for n in ints))
@@ -203,9 +194,8 @@ def arch_family(
 
 @dataclass(frozen=True)
 class Point:
-    """A point of Q^d as the coordinates nums[i] / den: ``int`` numerators
-    over one positive denominator, reduced so that gcd(den, every numerator)
-    == 1; equality and hashing rest on (den, nums)."""
+    """A point of Q^d as the coordinates nums[i] / den, reduced (see
+    ``geometry``); equality and hashing rest on (den, nums)."""
 
     den: int
     nums: tuple[int, ...]
@@ -213,46 +203,34 @@ class Point:
     @staticmethod
     def make(coords: Iterable) -> "Point":
         # ints stay ints: they are their own numerators over 1.
-        cs = tuple(map(_exact, coords))
-        den = lcm(*(c.denominator for c in cs))
-        return _reduced(den, tuple(c.numerator * (den // c.denominator) for c in cs))
+        den, (nums,) = reduced(*over_lcm((tuple(map(_exact, coords)),)))
+        return Point(den, nums)
 
     @functools.cached_property
     def coords(self) -> Vec:
         return tuple(Fraction(c, self.den) for c in self.nums)
 
 
-def _reduced(den: int, nums: tuple[int, ...]) -> Point:
-    g = gcd(den, *nums)
-    if g != 1:
-        den //= g
-        nums = tuple(c // g for c in nums)
-    return Point(den, nums)
-
-
 def _common(x: Point, y: Point) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """The numerators of x and y over the lcm of their denominators."""
     if len(x.nums) != len(y.nums):
         raise DimensionMismatch(f"dim {len(x.nums)} vs {len(y.nums)}")
-    if x.den == y.den:
-        return x.den, x.nums, y.nums
-    den = lcm(x.den, y.den)
-    kx, ky = den // x.den, den // y.den
-    return den, tuple(kx * c for c in x.nums), tuple(ky * c for c in y.nums)
+    den, (xn,), (yn,) = over_common(x.den, (x.nums,), y.den, (y.nums,))
+    return den, xn, yn
 
 
 def add_points(x: Point, y: Point) -> Point:
     den, xn, yn = _common(x, y)
-    return _reduced(den, tuple(map(operator.add, xn, yn)))
+    den, (nums,) = reduced(den, (tuple(map(operator.add, xn, yn)),))
+    return Point(den, nums)
 
 
 def star_point(n: int, x: Point) -> Point:
-    """n . x; dividing n and den by their gcd keeps n.nums / den reduced."""
+    """n . x, reduced as x is."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = gcd(n, x.den)
-    k = n // g
-    return Point(x.den // g, tuple(k * c for c in x.nums))
+    den, (nums,) = star_scaled(n, x.den, (x.nums,))
+    return Point(den, nums)
 
 
 def elem_arch_family(w: Wedge, epsilons: Sequence) -> ArchFamily:
@@ -264,7 +242,8 @@ def _elem_sampler(w: Wedge, rng: random.Random, lo: int = -8) -> Point:
     """Each coordinate draws a numerator in lo..8, then a denominator 1, 2
     or 4; the point is held over 4, then reduced."""
     draws = [(rng.randint(lo, 8), rng.choice((1, 2, 4))) for _ in range(w.dim)]
-    return _reduced(4, tuple(n * (4 // d) for n, d in draws))
+    den, (nums,) = reduced(4, (tuple(n * (4 // d) for n, d in draws),))
+    return Point(den, nums)
 
 
 def _elem_nonneg_sampler(w: Wedge, rng: random.Random) -> Point:

@@ -16,7 +16,11 @@ from cornets.geometry import (
     DimensionMismatch,
     join_orthant,
     lp_feasible,
+    over_common,
+    over_lcm,
     rat,
+    reduced,
+    star_scaled,
     vdot,
     vzero,
 )
@@ -522,3 +526,54 @@ class TestInput:
     def test_arity_checked(self, nonneg):
         with pytest.raises(DimensionMismatch):
             lp_feasible([((1, 2), 0)], 1, nonneg=nonneg)
+
+
+def _fractions(den, rows):
+    return [tuple(F(c, den) for c in r) for r in rows]
+
+
+def _is_reduced(den, rows):
+    return den >= 1 and gcd(den, *(c for r in rows for c in r)) == 1
+
+
+class TestNumberFormat:
+    rows = st.lists(st.tuples(rationals, rationals), min_size=1, max_size=4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows)
+    def test_build_and_reduce_keep_the_values(self, rows):
+        den, nums = over_lcm(rows)
+        assert all(type(c) is int for r in nums for c in r)
+        assert _fractions(den, nums) == rows
+        rden, rnums = reduced(den, nums)
+        assert _is_reduced(rden, rnums) and _fractions(rden, rnums) == rows
+
+    def test_ints_are_their_own_numerators(self):
+        assert over_lcm([(1, -2), (0, 3)]) == (1, ((1, -2), (0, 3)))
+        assert over_lcm([(F(1, 2), 1), (F(1, 3), 0)]) == (6, ((3, 6), (2, 0)))
+        nums = ((2, 4),)
+        assert reduced(3, nums)[1] is nums
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows, rows)
+    def test_common_denominator_keeps_the_values(self, a, b):
+        (da, a_nums), (db, b_nums) = (reduced(*over_lcm(r)) for r in (a, b))
+        den, an, bn = over_common(da, a_nums, db, b_nums)
+        assert den == da * db // gcd(da, db)
+        assert _fractions(den, an) == a and _fractions(den, bn) == b
+
+    def test_an_operand_over_the_lcm_is_not_copied(self):
+        a, b = ((1, 3),), ((1, 1),)
+        den, an, bn = over_common(4, a, 2, b)
+        assert den == 4 and an is a and bn == ((2, 2),)
+        _, an, bn = over_common(4, a, 4, b)
+        assert an is a and bn is b
+        assert star_scaled(2, 4, a) == (2, a) and star_scaled(2, 4, a)[1] is a
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows, st.integers(min_value=1, max_value=12))
+    def test_star_scaling_stays_reduced(self, rows, n):
+        den, nums = reduced(*over_lcm(rows))
+        sden, snums = star_scaled(n, den, nums)
+        assert _is_reduced(sden, snums)
+        assert _fractions(sden, snums) == [tuple(n * c for c in r) for r in rows]

@@ -22,6 +22,7 @@ from cornets.core import (
     is_n_convex,
 )
 from cornets import sets as sets_module
+from cornets import wedges as wedges_module
 from cornets.geometry import join_orthant, lp_feasible, vdot, vscale, vzero
 from cornets.sets import (
     Repr,
@@ -406,6 +407,28 @@ class TestMembership:
         assert polytopic(Wedge.orthant(3), [*A.generators, (4, 4, 4)]) == A
         assert A.member((4, 4, 4)) and not A.member((3, 3, 3))
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("rp", list(Repr))
+    def test_point_values_read_once(self, monkeypatch, rp):
+        # A k-generator membership over a custom wedge reads each generator's
+        # values once and q's once, not once per generator; q lies above
+        # none of the generators, so the scan visits them all.
+        w = Wedge.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 1]])
+        gens = [(0, 5, 5), (5, 0, 5), (6, 6, -10)]
+        q = (4, 4, -5)
+        seen = []
+        values = Wedge.values
+
+        def counting(self, x):
+            seen.append(x)
+            return values(self, x)
+
+        nums = UpperSet.make(w, rp, gens).nums
+        assert len(nums) == 3
+        monkeypatch.setattr(Wedge, "values", counting)
+        monkeypatch.setattr(sets_module, "_poly_member_lp", lambda *args: False)
+        assert not _has(w, rp, nums, q)
+        assert seen.count(q) == 1 and len(seen) == len(nums) + 1
 
     def test_zero_wedge_membership_is_exact_hit(self):
         A = discrete(WZ, [(0,), (2,)])
@@ -946,6 +969,17 @@ class TestIntegerGenerators:
         y = discrete(W2, [(F(1, 2), F(3, 2)), (F(5, 4), 0)])
         assert y.den == 4 and msum(y, zero) == y and msum(zero, y) == y
         assert star_set(2, y).den == 2 and star_set(4, y).den == 1
+
+    def test_common_keeps_an_operand_over_the_lcm(self):
+        # Only the operand whose denominator is below the lcm is rescaled;
+        # the other's generators are handed on as they are.
+        A = discrete(W2, [(F(1, 4), 0), (0, 1)])
+        B = discrete(W2, [(F(1, 2), 1)])
+        den, an, bn = sets_module._common(A, B)
+        assert (A.den, B.den, den) == (4, 2, 4)
+        assert an is A.nums and bn == ((2, 4),)
+        x, y = Point.make((F(1, 4), 0)), Point.make((F(1, 2), 1))
+        assert wedges_module._common(x, y)[1] is x.nums
 
     def test_hunt_universes_are_integer(self):
         for A in enumerate_z_subsets(3, lo=-2) + interval_z_subsets(3, lo=-2):
