@@ -71,12 +71,12 @@ N_MAX_LIMIT = 12
 # takes 0.22 s at 200.  The limit stays at 200 until the other horizon
 # searches are measured past it.
 HORIZON_LIMIT = 200
-# Building the wedge checks pointedness with up to dim LPs before any case
-# runs: a custom wedge (unit rows and the all-ones row) takes 0.05 s at dim
-# 16, 0.46 s at 32 and 1.8 s at 48 (2-vCPU Xeon), and `laws --cases 1` on an
-# orthant elemQ file 0.23 s at 32 and 3.5 s at 128.  So dim is at most 32.
+# Building a wedge finds the left inverse of its rows with dim LPs, which also
+# check pointedness, before any case runs (orthant and zero need none): a custom
+# wedge (unit rows and the all-ones row) takes 0.04 s at dim 16, 0.61 s at 32
+# and 2.0 s at 48 (2-vCPU Xeon).  So dim is at most 32.
 # `laws` costs linearly in its cases: a setQ file over that dim-32 wedge takes
-# 1.5 s at --cases 1 and 46 s at 200, the default and the bound.
+# 0.8 s at --cases 1 and 6.8 s at 200, the default and the bound.
 _LIMITS = {"n_max": N_MAX_LIMIT, "horizon": HORIZON_LIMIT, "dim": 32, "cases": 200}
 # The hunt's scan is cubic in the universe: on a 2-vCPU Xeon, z1 over 0..6
 # (127 sets) takes 0.9 s, and each further integer multiplies that by about

@@ -9,24 +9,21 @@ survivors to the vertices of conv(F) + W.  One canonical generator makes a
 translated wedge, stored as DISCRETE; no other denotation has two forms, as
 a discrete set of several generators is never convex.  So convexity, and with
 it n-convexity for every n >= 2, is read off the form, not off n.A.
-Inside, a set holds its generators ``nums`` over ``den`` in ``geometry``'s
-exact number format; ``generators`` gives them back as Fractions at the API.
-Dominance, membership and the thresholds read the order through
-``Wedge.values``; only the zero wedge, whose order is equality, is handled
-here (no dominance step, and membership is a lookup among the generators).
-Over a wedge of at most two rows (a 1-d wedge, or a 2-d one given by two
-rows) the dominance step is a staircase sweep, one sort by values; over any
-other wedge it is one pass in order of the height, the sum of a generator's
-values, which strictly increases along the order: each generator is tested
-only against those kept before it, not against all the others.
-The exact simplex (``geometry.lp_feasible``) decides hull pruning and
-polytopic membership only where the generators do not: for each row, the
-survivor with the least value there, then the least height, then the least
-point, is a vertex, so it keeps its place with no LP; and a point in g + W
-for a generator g is a member, since g + W lies in conv(F) + W.
-Archimedean and boundedness thresholds reduce to ``wedges.threshold`` on
-pairs of generators, over every wedge; the Archimedean family {-eps . ones} + W
-comes from ``wedges.arch_family``.
+Inside, a set holds the values v = M.g of its generators g under the row
+matrix M of W (``Wedge.values``), as int numerators ``nums`` over one ``den``
+in ``geometry``'s exact number format.  M is injective on a pointed W; g <= h
+iff M.g <= M.h entry by entry, p lies in conv(F) + W iff M.p lies in conv(M.F)
+plus the orthant, and sums and stars commute with M.  So here every wedge is
+the orthant of its values: a point is mapped in where it enters (``make``,
+``member``, the z1 universes) and out, in point order, where it leaves
+(``generators``, ``serialize_set``: ``Wedge.coords``).  Only the zero wedge,
+whose order is equality, is handled apart (no dominance step, and discrete
+membership is a lookup).  Over two rows (a 2-d wedge, or the zero wedge of Q)
+dominance is a staircase sweep and polytopic sets are monotone chains;
+elsewhere the exact simplex (``geometry.lp_feasible``) decides hull pruning
+and polytopic membership only where vertex and generator certificates do not.
+The thresholds are ``wedges.value_threshold`` on stored generators, and the
+Archimedean family {-eps . ones} + W comes from ``wedges.arch_family``.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from .geometry import (
     Rows, Vec, _exact, join_orthant, lp_feasible, over_common, over_lcm, reduced, star_scaled,
     vneg, vzero,
 )
-from .wedges import Wedge, arch_family, threshold
+from .wedges import Wedge, arch_family, value_threshold
 
 _MAX_GENS = 5  # the most generators a sampled set has
 
@@ -60,8 +57,8 @@ class WedgeMismatch(ValueError):
 
 @dataclass(frozen=True)
 class UpperSet:
-    """The generators nums[i] / den, in canonical form; equality and hashing
-    rest on (wedge, repr, den, nums)."""
+    """The generators whose wedge values are nums[i] / den, in canonical
+    form; equality and hashing rest on (wedge, repr, den, nums)."""
 
     wedge: Wedge
     repr: Repr
@@ -74,19 +71,19 @@ class UpperSet:
         gens = tuple(tuple(map(_exact, g)) for g in generators)
         if not gens:
             raise ValueError("generator list must be nonempty")
-        for g in gens:
-            if len(g) != wedge.dim:
-                raise ValueError(f"generator dim {len(g)} vs wedge dim {wedge.dim}")
-        return _build(wedge, repr, *over_lcm(gens))
+        den, nums = over_lcm(gens)
+        return _build(wedge, repr, den, map(wedge.values, nums))
 
     @functools.cached_property
     def generators(self) -> tuple[Vec, ...]:
-        return tuple(tuple(Fraction(c, self.den) for c in g) for g in self.nums)
+        den, nums = self.wedge.coords(self.den, self.nums)
+        return tuple(tuple(Fraction(c, den) for c in g) for g in nums)
 
     def member(self, p: Vec) -> bool:
-        """p in the set, asked of the numerators with p put over one
+        """p in the set, asked of the numerators of p's values put over one
         denominator with the generators."""
-        _, nums, (q,) = over_common(self.den, self.nums, *over_lcm((tuple(map(_exact, p)),)))
+        pden, (pn,) = over_lcm((tuple(map(_exact, p)),))
+        _, nums, (q,) = over_common(self.den, self.nums, pden, (self.wedge.values(pn),))
         return _has(self.wedge, self.repr, nums, q)
 
 
@@ -99,7 +96,7 @@ def polytopic(wedge: Wedge, generators: Iterable[Iterable]) -> UpperSet:
 
 
 def _build(w: Wedge, rp: Repr, den: int, nums: Iterable[tuple[int, ...]]) -> UpperSet:
-    """The trusted constructor: canonicalise the generators nums / den, then
+    """The trusted constructor: canonicalise the generator values nums / den, then
     divide den and the survivors by their gcd.  Pruning comes first, because
     a pruned generator may be the one that kept the gcd at 1.  One survivor
     makes a translated wedge, stored as DISCRETE."""
@@ -110,88 +107,74 @@ def _build(w: Wedge, rp: Repr, den: int, nums: Iterable[tuple[int, ...]]) -> Upp
 
 
 def _common(A: UpperSet, B: UpperSet) -> tuple[int, Rows, Rows]:
-    """The generators of A and B as numerators over one denominator."""
+    """The generator values of A and B as numerators over one denominator."""
     return over_common(A.den, A.nums, B.den, B.nums)
 
 
 def _canonicalize(w: Wedge, rp: Repr, gens: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    """Dominance, then hull pruning.  A generator g in h + W for another
-    generator h is redundant in either representation; over a pointed W the
-    polytopic survivors then lose those inside the hull of the others, which
-    leaves the vertices of conv(F) + W.  Every step is invariant under a
-    positive scaling, so it works alike on ints and Fractions.
+    """Dominance, then hull pruning, on generator values, which come out in
+    order: a g in h + W (every value of h at most g's) is redundant, and the
+    polytopic survivors then lose those inside the hull of the others.  Each
+    step is invariant under a positive scaling, so ints and Fractions alike.
 
-    The dominance step keeps the minimal generators, in point order.  Over
-    the zero wedge every distinct generator is minimal.  A wedge of at most
-    two rows is swept as a staircase (``_staircase``).  Over any other wedge
-    the step reads each generator's ``w.values`` once, kept beside it, and
-    visits the generators by increasing height, the sum of their values,
-    which strictly increases along the order, so every generator below g
-    comes before it; g is tested only against the generators kept so far,
-    since one dropped below g lies above a kept one, and h <= g iff every
-    value of h is at most g's.
+    Over the zero wedge every distinct generator is minimal, and over one
+    row the least value is.  Two rows are swept as a staircase.  Over more,
+    the generators are visited by increasing height, so every generator
+    below g comes before it, and g is tested only against those kept so far:
+    one dropped below g lies above a kept one.
 
-    Hull pruning asks the LP only of survivors that no row certifies.  For
-    a row m, the first survivor in the order (m's value, height, point) is
+    Hull pruning over two rows is a monotone chain (``_pareto_lower_hull``).
+    Elsewhere the LP is asked only of survivors that no row certifies.  For
+    a row m, the first survivor in the order (m's value, height, values) is
     a vertex of P = conv(F) + W: m is nonnegative on W, so its minimum over
     P exposes the face conv(F_m) + (W with m = 0), F_m the survivors where
     it is least; the height is positive on W minus 0, so its minimum there
     is the polytope conv(F_mh) of the least-height ones among them; and the
-    lexicographic minimum of a polytope is a vertex.  A vertex of P lies in
-    no conv(F minus g) + W, so the scan keeps what the LP would keep."""
+    lexicographic minimum of a polytope's injective image is a vertex.  A
+    vertex of P lies in no conv(F minus g) + W, so the scan keeps what the
+    LP would keep."""
     if w.is_zero:
         gens = tuple(sorted(set(gens)))
-    elif len(w.rows) <= 2:
-        gens = _staircase(w, set(gens))
+    elif len(w.rows) == 1:
+        gens = (min(gens),)
+    elif len(w.rows) == 2:
+        # Visited by increasing values, g is minimal iff its second value is
+        # below that of every generator kept so far, each with a first value
+        # at most g's: the 2-d maxima algorithm of Kung, Luccio and Preparata
+        # (J. ACM 22(4), 1975).
+        kept, low = [], None
+        for g in sorted(set(gens)):
+            if low is None or g[1] < low:
+                kept.append(g)
+                low = g[1]
+        gens = tuple(kept)
     else:
-        kept: list[tuple[Vec, Vec]] = []
-        for g, v in sorted(((g, w.values(g)) for g in set(gens)), key=lambda gv: sum(gv[1])):
-            if not any(all(map(le, hv, v)) for _, hv in kept):
-                kept.append((g, v))
-        gens = tuple(sorted(g for g, _ in kept))
+        kept: list[Vec] = []
+        for g in sorted(set(gens), key=sum):
+            if not any(all(map(le, h, g)) for h in kept):
+                kept.append(g)
+        gens = tuple(sorted(kept))
     # Hull pruning of the polytopic survivors; any two of them are vertices.
     if rp is Repr.DISCRETE or len(gens) < 3:
         return gens
-    if w.is_orthant and w.dim == 2:
+    if len(w.rows) == 2:
         return _pareto_lower_hull(gens)
     # One pass suffices: dropping a redundant point leaves conv(F) + W as it
     # was, and a point irredundant against a set stays so against any subset.
     # Each row certifies its first survivor in (value, height, g) as a vertex.
-    vals = [w.values(g) for g in gens]
-    heights = [sum(v) for v in vals]
-    vertices = {min(zip(col, heights, gens))[2] for col in zip(*vals)}
+    heights = [sum(g) for g in gens]
+    vertices = {min(zip(col, heights, gens))[2] for col in zip(*gens)}
     kept = list(gens)
     for g in gens:
-        if g not in vertices and _poly_member_lp(w, [h for h in kept if h != g], g):
+        if g not in vertices and _poly_member_lp([h for h in kept if h != g], g):
             kept.remove(g)
     return tuple(kept)
-
-
-def _staircase(w: Wedge, gens: Iterable[Vec]) -> tuple[Vec, ...]:
-    """The minimal generators over a pointed wedge of at most two rows,
-    which is 1-d, or 2-d with two independent rows, so ``w.values`` is
-    injective and h <= g iff both values of h are at most g's.  In 1-d the
-    least value is the one minimal generator.  In 2-d, visited by increasing
-    values, g is minimal iff its second value is below that of every
-    generator kept so far: one before it has a first value at most g's.  This
-    is the 2-d maxima algorithm of Kung, Luccio and Preparata (J. ACM 22(4),
-    1975).  Over the orthant the values are the point, so the survivors are
-    already in point order."""
-    if w.dim == 1:
-        return (min(gens, key=w.values),)
-    kept = []
-    low = None
-    for (_, y), g in sorted((w.values(g), g) for g in gens):
-        if low is None or y < low:
-            kept.append(g)
-            low = y
-    return tuple(kept) if w.is_orthant else tuple(sorted(kept))
 
 
 def _pareto_lower_hull(antichain: Sequence[Vec]) -> tuple[Vec, ...]:
     """Vertices of conv(antichain) + R^2_{>=0} for a sorted antichain (x
     ascending, so y strictly descending): the points strictly below every
-    chord, by a monotone-chain lower hull."""
+    chord, by a monotone-chain lower hull; collinear points keep two ends."""
     hull: list[Vec] = []
     for p in antichain:
         while len(hull) >= 2:
@@ -205,35 +188,34 @@ def _pareto_lower_hull(antichain: Sequence[Vec]) -> tuple[Vec, ...]:
     return tuple(hull)
 
 
-def _poly_member_lp(w: Wedge, gens: Sequence[Vec], p: Vec) -> bool:
-    """p in conv(gens) + W via exact feasibility in the convex multipliers,
-    which the engine keeps nonnegative, one row per entry of ``w.values``."""
+def _poly_member_lp(gens: Sequence[Vec], p: Vec) -> bool:
+    """p in conv(gens) plus the orthant, on values, via exact feasibility in
+    the convex multipliers, which the engine keeps nonnegative."""
     k = len(gens)
     ineqs = [((1,) * k, -1), ((-1,) * k, 1)]  # sum >= 1, sum <= 1
-    for col, b in zip(zip(*(w.values(g) for g in gens)), w.values(p)):
+    for col, b in zip(zip(*gens), p):
         ineqs.append((tuple(-c for c in col), b))
     # nvars positionally: perfbench's tracer reads it as the second argument.
     return lp_feasible(ineqs, k, nonneg=True) is not None
 
 
 def _has(w: Wedge, rp: Repr, nums: Rows, q) -> bool:
-    """q in the set generated by nums, q and nums over one denominator."""
+    """q in the set generated by nums, all values over one denominator."""
     if rp is Repr.DISCRETE and w.is_zero:
         # Over the zero wedge g <= q only for g == q, and a tuple lookup is
-        # cheaper than the wedge test (the comparisons that dominate `hunt`).
+        # cheaper than the order test (the comparisons that dominate `hunt`).
         return q in nums
-    if rp is Repr.POLYTOPIC and w.is_orthant and w.dim == 2:
+    if rp is Repr.POLYTOPIC and len(w.rows) == 2:
         return _member_chain(nums, q)
-    # q's values are read once.  g + W lies in conv(nums) + W, so for a
-    # polytopic set too a generator below q certifies it.
-    qv = w.values(q)
-    if any(all(map(le, w.values(g), qv)) for g in nums):
+    # g + W lies in conv(nums) + W, so for a polytopic set too a generator
+    # below q certifies it.
+    if any(all(map(le, g, q)) for g in nums):
         return True
-    return rp is Repr.POLYTOPIC and _poly_member_lp(w, nums, q)
+    return rp is Repr.POLYTOPIC and _poly_member_lp(nums, q)
 
 
 def _member_chain(chain: Sequence[Vec], p: Vec) -> bool:
-    """Membership in conv(chain) + orthant for a canonical 2-d chain."""
+    """Membership in conv(chain) + R^2_{>=0} for a canonical 2-d chain."""
     x, y = p
     if x < chain[0][0]:
         return False
@@ -286,11 +268,13 @@ def subset(A: UpperSet, B: UpperSet) -> bool:
 
 
 def intersect(A: UpperSet, B: UpperSet) -> UpperSet:
-    """Finite intersections in orthant DISCRETE mode via staircase joins."""
+    """Finite intersections of DISCRETE sets via staircase joins of values.
+    Over a simplicial wedge (as many rows as the dimension) M is onto, so
+    the join of two values is the values of a point p: (f + W) ∩ (g + W) = p + W."""
     if A.wedge != B.wedge:
         raise WedgeMismatch("operands live over different wedges")
-    if not A.wedge.is_orthant or A.repr is not Repr.DISCRETE or B.repr is not Repr.DISCRETE:
-        raise UnsupportedOperation("intersections need orthant DISCRETE operands")
+    if len(A.wedge.rows) != A.wedge.dim or A.repr is not Repr.DISCRETE or B.repr is not Repr.DISCRETE:
+        raise UnsupportedOperation("intersections need DISCRETE operands over a simplicial wedge")
     den, an, bn = _common(A, B)
     return _build(A.wedge, Repr.DISCRETE, den, [join_orthant(f, g) for f in an for g in bn])
 
@@ -349,7 +333,7 @@ def set_closure(A: UpperSet) -> UpperSet:
 def _arch_exact_set(x: UpperSet, probe: UpperSet) -> Optional[tuple[bool, Optional[int]]]:
     """0 in U + n*x for all n >= threshold(W, -f, -g), for any probe
     generator f and generator g of x that have one: f + n.g <= 0 from there
-    on.  The smallest such threshold is returned.
+    on.  The smallest such threshold is returned, read off the stored values.
 
     Without one, when both sets are DISCRETE, 0 in U + n*x needs some pair
     with f + n.g <= 0, and a pair without a threshold holds only on a
@@ -358,7 +342,7 @@ def _arch_exact_set(x: UpperSet, probe: UpperSet) -> Optional[tuple[bool, Option
     The thresholds are taken on numerators over one denominator, which
     scales both points of every pair alike."""
     _, xn, pn = _common(x, probe)
-    n0s = [threshold(x.wedge, vneg(f), vneg(g)) for g in xn for f in pn]
+    n0s = [value_threshold(vneg(f), vneg(g)) for g in xn for f in pn]
     n0s = [n0 for n0 in n0s if n0 is not None]
     if n0s:
         return True, min(n0s)
@@ -374,7 +358,7 @@ def _bounded_exact_set(x: UpperSet, a: UpperSet) -> Optional[tuple[bool, Optiona
     if len(a.nums) != 1:
         return None
     _, xn, (g,) = _common(x, a)
-    n0s = [threshold(x.wedge, f, vneg(g)) for f in xn]
+    n0s = [value_threshold(f, vneg(g)) for f in xn]
     if None in n0s:
         return False, None
     return True, max(n0s)
@@ -392,11 +376,12 @@ def _sample_gens(
 
 
 def serialize_set(A: UpperSet) -> dict:
-    """JSON form of a set: its representation and generators as rational strings."""
-    den = A.den
+    """JSON form of a set: its representation and generators as rational
+    strings, in point order."""
+    den, nums = A.wedge.coords(A.den, A.nums)
     return {
         "repr": A.repr.value,
-        "generators": [[str(c) if den == 1 else str(Fraction(c, den)) for c in g] for g in A.nums],
+        "generators": [[str(c) if den == 1 else str(Fraction(c, den)) for c in g] for g in nums],
     }
 
 
@@ -433,10 +418,10 @@ def enumerate_z_subsets(bound: int, lo: int = 0) -> list[UpperSet]:
     """All nonempty subsets of {lo..bound} as upper sets over (Z, W={0});
     the finite universe used by the counterexample hunt."""
     w = Wedge.zero(1)
-    vals = list(range(lo, bound + 1))
+    vals = [w.values((v,)) for v in range(lo, bound + 1)]
     out = []
     for mask in range(1, 1 << len(vals)):
-        gens = [(v,) for i, v in enumerate(vals) if mask & (1 << i)]
+        gens = [v for i, v in enumerate(vals) if mask & (1 << i)]
         out.append(_build(w, Repr.DISCRETE, 1, gens))
     return out
 
@@ -448,6 +433,7 @@ def order_convex_z(A: UpperSet) -> bool:
     singletons, so the counterexample hunt uses this lattice analogue when
     deciding which sets count as convex.
     """
+    # The first value over the zero wedge of Q is the point itself.
     vals = sorted(g[0] for g in A.nums)
     return all(b - a == A.den for a, b in zip(vals, vals[1:]))
 
@@ -455,9 +441,6 @@ def order_convex_z(A: UpperSet) -> bool:
 def interval_z_subsets(bound: int, lo: int = 0) -> list[UpperSet]:
     """The interval sets {a..b} within {lo..bound}: the convex subuniverse."""
     w = Wedge.zero(1)
-    out = []
-    for a in range(lo, bound + 1):
-        for b in range(a, bound + 1):
-            gens = [(i,) for i in range(a, b + 1)]
-            out.append(_build(w, Repr.DISCRETE, 1, gens))
-    return out
+    vals = [w.values((v,)) for v in range(lo, bound + 1)]
+    spans = [(a, b) for a in range(len(vals)) for b in range(a, len(vals))]
+    return [_build(w, Repr.DISCRETE, 1, vals[a : b + 1]) for a, b in spans]

@@ -11,7 +11,8 @@ Archimedean and boundedness decision, for points, sets and fuzzy sets alike,
 and ``arch_family`` the one builder of their Archimedean families, which
 needs ``ones`` strictly interior to W.  ``Wedge.values`` is the one way a
 point is read against the rows, for membership, the order and ``threshold``
-alike; over the orthant these are the coordinates themselves.
+alike; over the orthant these are the coordinates themselves.  ``sets``
+holds its generators as values, which ``Wedge.coords`` maps back.
 An element is a ``Point``, held in ``geometry``'s exact number format as
 one row of ``int`` numerators over its denominator, with ``coords`` giving
 the ``Fraction`` view; the order and ``threshold`` are read on two points
@@ -30,7 +31,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .core import ArchFamily, CornetInstance
 from .geometry import (
-    DimensionMismatch, Vec, _exact, lp_feasible, over_common, over_lcm, rat, reduced,
+    DimensionMismatch, Rows, Vec, _exact, lp_feasible, over_common, over_lcm, rat, reduced,
     star_scaled, vdot, vneg, vscale,
 )
 
@@ -59,6 +60,19 @@ def _canonical(rows: Sequence[Vec]) -> tuple[Vec, ...]:
         if g:
             canon.add(tuple(n // g for n in ints))
     return tuple(sorted(canon, reverse=True))
+
+
+def _left_inverse(rows: Sequence[Vec], dim: int) -> Optional[tuple[int, Rows]]:
+    """L with L . M = I for the row matrix M, as int numerators over one den:
+    row i is a free y with M^T y = e_i, one LP per coordinate.  None when some
+    e_i is not solvable, when the kernel of M, W ∩ (-W), is not 0."""
+    cols = [tuple(r[j] for r in rows) for j in range(dim)]
+    inverse = []
+    for i in range(dim):
+        # c . y == (1 if j == i else 0) for each column c of M, as two inequalities.
+        eqs = [(c, -int(i == j)) for j, c in enumerate(cols)]
+        inverse.append(lp_feasible(eqs + [(vneg(c), -b) for c, b in eqs], len(rows)))
+    return None if None in inverse else over_lcm(inverse)
 
 
 def _line_witness(rows: Sequence[Vec], dim: int) -> Optional[Vec]:
@@ -94,15 +108,22 @@ class Wedge:
     rows: tuple[Vec, ...]
     is_orthant: bool = field(init=False, compare=False)
     is_zero: bool = field(init=False, compare=False)
+    _inverse: Optional[tuple[int, Rows]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for m in self.rows:
             if len(m) != self.dim:
                 raise DimensionMismatch(f"row of dim {len(m)} in cone of dim {self.dim}")
         object.__setattr__(self, "rows", _canonical(self.rows))
-        witness = _line_witness(self.rows, self.dim)
-        if witness is not None:
-            raise NotPointedError(f"cone contains the line through {witness}")
+        # Rows that begin with the unit rows, as the orthant's and the zero
+        # wedge's do, are pointed and need no inverse: no LP runs.
+        inverse = None
+        if self.rows[: self.dim] != _unit_rows(self.dim):
+            inverse = _left_inverse(self.rows, self.dim)
+            if inverse is None:
+                # The LPs only tell that a line exists; name one.
+                raise NotPointedError(f"cone contains the line through {_line_witness(self.rows, self.dim)}")
+        object.__setattr__(self, "_inverse", inverse)
         # Condition (iii) of the wedge axioms, n^{-1}(W) subset of W, holds
         # automatically over Q: M(n x) >= 0 iff M x >= 0.
         object.__setattr__(self, "is_orthant", self.rows == _canonical(_unit_rows(self.dim)))
@@ -119,6 +140,16 @@ class Wedge:
         if self.is_orthant:
             return x
         return tuple(vdot(m, x) for m in self.rows)
+
+    def coords(self, den: int, values: Rows) -> tuple[int, Rows]:
+        """The points whose values are the rows ``values`` / den (reduced and
+        in order, as sets keep them), as reduced int numerators over one den,
+        in point order.  Without an inverse they are the first dim values; the
+        others are int combinations of them, so they keep the gcd and order."""
+        if self._inverse is None:
+            return den, tuple([v[: self.dim] for v in values])
+        lden, inverse = self._inverse
+        return reduced(den * lden, tuple(sorted(tuple([vdot(r, v) for r in inverse]) for v in values)))
 
     def contains(self, x: Vec) -> bool:
         return all(v >= 0 for v in self.values(x))
@@ -159,10 +190,16 @@ def threshold(w: Wedge, u: Vec, x: Vec) -> Optional[int]:
     Row by row, m.u + n (m.x) >= 0 holds for all large n iff m.x > 0, or
     m.x == 0 and m.u >= 0; a row with m.u < 0 < m.x first holds at
     n = ceil(-(m.u) / (m.x)).  Every quantifier "for all large n" over the
-    wedge order reduces to this closed form, read from ``w.values``.
+    wedge order reduces to this closed form, read from ``w.values``, or by
+    ``sets`` from the values it stores (``value_threshold``).
     """
+    return value_threshold(w.values(u), w.values(x))
+
+
+def value_threshold(uv: Vec, xv: Vec) -> Optional[int]:
+    """``threshold`` on the values of u and x."""
     n0 = 1
-    for a, b in zip(w.values(u), w.values(x)):
+    for a, b in zip(uv, xv):
         if b < 0 or (b == 0 and a < 0):
             return None
         if a < 0:

@@ -23,7 +23,8 @@ from cornets.core import (
 )
 from cornets import sets as sets_module
 from cornets import wedges as wedges_module
-from cornets.geometry import join_orthant, lp_feasible, vdot, vscale, vzero
+from cornets.fuzzy import chi
+from cornets.geometry import DimensionMismatch, join_orthant, lp_feasible, vdot, vscale, vzero
 from cornets.sets import (
     Repr,
     UnsupportedOperation,
@@ -33,7 +34,6 @@ from cornets.sets import (
     _bounded_exact_set,
     _canonicalize,
     _has,
-    _member_chain,
     _poly_member_lp,
     convex_hull,
     discrete,
@@ -53,6 +53,14 @@ from cornets.sets import (
 )
 from cornets.wedges import Point, Wedge, make_elem_cornet
 from grid_oracle import rational_grid, vadd, vsub
+from sets_reference import (
+    ref_arch_exact_set,
+    ref_bounded_exact_set,
+    ref_canonicalize,
+    ref_has,
+    ref_member_chain,
+    ref_poly_member_lp,
+)
 
 W2 = Wedge.orthant(2)
 WZ = Wedge.zero(1)
@@ -65,6 +73,13 @@ def _rand_gens(rng, dim, count, lo=-6, hi=6, dens=(1, 2)):
     ]
 
 
+def _canon(w, rp, gens):
+    """The generators that _canonicalize keeps of gens, read on their values
+    and given back as coordinates in point order."""
+    by_values = {w.values(g): g for g in gens}
+    return tuple(sorted(by_values[v] for v in _canonicalize(w, rp, tuple(by_values))))
+
+
 def _restart_scan(w, gens):
     """Reference polytopic redundancy scan: restart from the first generator
     after every removal (what the one-pass scan in _canonicalize replaced)."""
@@ -73,7 +88,7 @@ def _restart_scan(w, gens):
     while changed and len(kept) > 1:
         changed = False
         for i, g in enumerate(kept):
-            if _poly_member_lp(w, kept[:i] + kept[i + 1 :], g):
+            if ref_poly_member_lp(w, kept[:i] + kept[i + 1 :], g):
                 kept.pop(i)
                 changed = True
                 break
@@ -202,6 +217,9 @@ SCAN_WEDGES = [
 ]
 # The wedges that _canonicalize sweeps as a staircase.
 STAIRCASE_WEDGES = [w for w in SCAN_WEDGES if not w.is_zero and len(w.rows) <= 2]
+# The wedges of two rows, whose polytopic sets take the 2-d chain paths:
+# the orthant of Q^2, two skew 2-d wedges and the zero wedge of Q.
+TWO_ROW_WEDGES = [w for w in SCAN_WEDGES if len(w.rows) == 2]
 
 
 class TestCanonicalization:
@@ -213,7 +231,7 @@ class TestCanonicalization:
         gens = data.draw(
             st.lists(st.tuples(*[coord] * w.dim), min_size=1, max_size=6)
         )
-        assert _canonicalize(w, Repr.POLYTOPIC, tuple(gens)) == _restart_scan(w, gens)
+        assert _canon(w, Repr.POLYTOPIC, gens) == _restart_scan(w, gens)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -231,8 +249,8 @@ class TestCanonicalization:
         )
         gens += data.draw(st.lists(st.sampled_from(gens), max_size=3))
         ref = _ref_dominance(w, gens)
-        assert _canonicalize(w, Repr.DISCRETE, tuple(gens)) == ref
-        assert _canonicalize(w, Repr.POLYTOPIC, tuple(gens)) == _restart_scan(w, ref)
+        assert _canon(w, Repr.DISCRETE, gens) == ref
+        assert _canon(w, Repr.POLYTOPIC, gens) == _restart_scan(w, ref)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -246,8 +264,8 @@ class TestCanonicalization:
         )
         gens = data.draw(st.lists(st.tuples(*[coord] * w.dim), min_size=1, max_size=40))
         ref = _ref_dominance(w, gens)
-        assert _canonicalize(w, Repr.DISCRETE, tuple(gens)) == ref
-        assert _canonicalize(w, Repr.POLYTOPIC, tuple(gens)) == _restart_scan(w, ref)
+        assert _canon(w, Repr.DISCRETE, gens) == ref
+        assert _canon(w, Repr.POLYTOPIC, gens) == _restart_scan(w, ref)
 
     def test_staircase_ties_in_first_value(self):
         # The canonical rows are (1, 1) then (1, 0), so (x, y) has the values
@@ -257,8 +275,8 @@ class TestCanonicalization:
         # does (0, 5).
         w = Wedge.from_rows([[1, 0], [1, 1]])
         gens = [(0, 5), (0, 2), (3, -2), (4, -2), (1, 1)]
-        assert _canonicalize(w, Repr.DISCRETE, tuple(gens)) == _ref_dominance(w, gens)
-        assert _canonicalize(w, Repr.DISCRETE, tuple(gens)) == ((0, 2), (3, -2))
+        assert _canon(w, Repr.DISCRETE, gens) == _ref_dominance(w, gens)
+        assert _canon(w, Repr.DISCRETE, gens) == ((0, 2), (3, -2))
 
     def test_discrete_antichain(self):
         A = discrete(W2, [(0, 0), (1, 1), (0, 3)])
@@ -307,15 +325,14 @@ class TestMembership:
 
     def test_polytopic_chain_vs_lp_route(self):
         # The fast 2-d chain membership must agree with the generic LP
-        # membership on the same generators.
-        from cornets.sets import _poly_member_lp
-
+        # membership on the same generator values, over every two-row wedge.
         rng = random.Random(5)
-        grid = list(rational_grid(2, 4, (1, 2)))
-        for _ in range(25):
-            A = polytopic(W2, _rand_gens(rng, 2, 4, lo=-4, hi=4))
-            for p in rng.sample(grid, 15):
-                assert A.member(p) == _poly_member_lp(W2, A.generators, p)
+        for w in TWO_ROW_WEDGES:
+            grid = list(rational_grid(w.dim, 4, (1, 2)))
+            for _ in range(25):
+                A = polytopic(w, _rand_gens(rng, w.dim, 4, lo=-4, hi=4))
+                for p in rng.sample(grid, min(15, len(grid))):
+                    assert A.member(p) == _poly_member_lp([w.values(g) for g in A.generators], w.values(p))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -328,7 +345,7 @@ class TestMembership:
         g = data.draw(point)
         p = data.draw(st.one_of(st.just(g), point))
         single = polytopic(w, [g])
-        assert single.member(p) == discrete(w, [g]).member(p) == _poly_member_lp(w, [g], p)
+        assert single.member(p) == discrete(w, [g]).member(p) == ref_poly_member_lp(w, [g], p)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -337,7 +354,7 @@ class TestMembership:
         # keeps their two ends and the LP decides membership in them.
         coord = st.fractions(min_value=-4, max_value=4, max_denominator=2)
         gens = data.draw(st.lists(st.tuples(coord), min_size=1, max_size=6))
-        ends = _canonicalize(WZ, Repr.POLYTOPIC, tuple(gens))
+        ends = _canon(WZ, Repr.POLYTOPIC, gens)
         assert ends == _ref_two_ends(gens)
         q = data.draw(st.one_of(st.sampled_from(gens), st.tuples(coord)))
         assert polytopic(WZ, gens).member(q) == _ref_interval_member(ends, q)
@@ -369,7 +386,7 @@ class TestMembership:
         point = st.tuples(*[coord] * w.dim)
         gens = data.draw(st.lists(point, min_size=1, max_size=6))
         p = data.draw(st.one_of(st.sampled_from(gens), point))
-        assert _poly_member_lp(w, gens, p) == _ref_poly_member_lp(w, gens, p)
+        assert _poly_member_lp([w.values(g) for g in gens], w.values(p)) == _ref_poly_member_lp(w, gens, p)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -386,7 +403,7 @@ class TestMembership:
         t = t if w.contains(t) else vzero(w.dim)
         base = data.draw(st.sampled_from([g, vscale(F(1, 2), vadd(g, h)), vzero(w.dim)]))
         p = data.draw(st.one_of(st.just(vadd(base, t)), point))
-        q = tuple(c * A.den for c in p)
+        q = tuple(c * A.den for c in w.values(p))
         assert _has(w, Repr.POLYTOPIC, A.nums, q) == _ref_poly_member_lp(w, A.generators, p)
 
     def test_certificates_spare_the_lp(self, monkeypatch):
@@ -410,9 +427,9 @@ class TestMembership:
 
     @pytest.mark.parametrize("rp", list(Repr))
     def test_point_values_read_once(self, monkeypatch, rp):
-        # A k-generator membership over a custom wedge reads each generator's
-        # values once and q's once, not once per generator; q lies above
-        # none of the generators, so the scan visits them all.
+        # A k-generator membership over a custom wedge reads q's values once
+        # and no generator's, since the set holds them; q lies above none of
+        # the generators, so the scan visits them all.
         w = Wedge.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 1]])
         gens = [(0, 5, 5), (5, 0, 5), (6, 6, -10)]
         q = (4, 4, -5)
@@ -423,12 +440,12 @@ class TestMembership:
             seen.append(x)
             return values(self, x)
 
-        nums = UpperSet.make(w, rp, gens).nums
-        assert len(nums) == 3
+        A = UpperSet.make(w, rp, gens)
+        assert len(A.nums) == 3
         monkeypatch.setattr(Wedge, "values", counting)
         monkeypatch.setattr(sets_module, "_poly_member_lp", lambda *args: False)
-        assert not _has(w, rp, nums, q)
-        assert seen.count(q) == 1 and len(seen) == len(nums) + 1
+        assert not A.member(q)
+        assert seen == [q]
 
     def test_zero_wedge_membership_is_exact_hit(self):
         A = discrete(WZ, [(0,), (2,)])
@@ -843,13 +860,13 @@ def _ref_set_member(A, p):
             return p in gens
         return any(w.leq(g, p) for g in gens)
     if w.is_orthant and w.dim == 2:
-        return _member_chain(gens, p)
-    return _poly_member_lp(w, gens, p)
+        return ref_member_chain(gens, p)
+    return ref_poly_member_lp(w, gens, p)
 
 
 def _ref_msum(A, B):
     rp = Repr.POLYTOPIC if Repr.POLYTOPIC in (A.repr, B.repr) else Repr.DISCRETE
-    return _canonicalize(A.wedge, rp, tuple(vadd(a, b) for a in A.generators for b in B.generators))
+    return ref_canonicalize(A.wedge, rp, tuple(vadd(a, b) for a in A.generators for b in B.generators))
 
 
 def _ref_star_set(n, A):
@@ -869,7 +886,7 @@ def _ref_subset(A, B):
 
 def _ref_intersect(A, B):
     gens = tuple(join_orthant(f, g) for f in A.generators for g in B.generators)
-    return _canonicalize(A.wedge, Repr.DISCRETE, gens)
+    return ref_canonicalize(A.wedge, Repr.DISCRETE, gens)
 
 
 def _ref_is_n_convex_set(A, n):
@@ -903,9 +920,13 @@ def _draw_set(data, w, dens, rp, max_size=3):
 
 
 def _assert_reduced(A):
+    # nums are the generators' values over den, in the order of the values;
+    # generators are the points, in point order.
     assert A.den >= 1 and gcd(A.den, *(c for g in A.nums for c in g)) == 1
     assert all(type(c) is int for g in A.nums for c in g)
-    assert A.generators == tuple(tuple(F(c, A.den) for c in g) for g in A.nums)
+    values = sorted(A.wedge.values(g) for g in A.generators)
+    assert values == [tuple(F(c, A.den) for c in g) for g in A.nums]
+    assert A.generators == tuple(sorted(A.generators))
 
 
 class TestIntegerGenerators:
@@ -1050,3 +1071,192 @@ class TestOneFormPerSet:
         for q in data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=8)):
             p = vadd(g, q)
             assert S.member(p) == any(A.member(vsub(p, b)) for b in in_b)
+
+
+# --- Generators held as wedge values -----------------------------------------
+#
+# Inside sets every wedge is the orthant of its values.  The coordinate paths
+# in sets_reference are what sets computed before; these tests compare the
+# two over every wedge of SCAN_WEDGES, and check that values are read only
+# where a point enters.
+
+SKEW = Wedge.from_rows([[2, 1], [-1, 2]])
+POLY3_WEDGE = Wedge.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 1]])
+
+
+def _scan_set(data, w, rp, max_size=5):
+    coord = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+    return UpperSet.make(w, rp, data.draw(st.lists(st.tuples(*[coord] * w.dim), min_size=1, max_size=max_size)))
+
+
+class TestValueCoordinates:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_canonical_form_matches_reference(self, data):
+        w = data.draw(st.sampled_from(SCAN_WEDGES))
+        rp = data.draw(st.sampled_from(list(Repr)))
+        coord = st.one_of(
+            st.integers(min_value=-4, max_value=4),
+            st.fractions(min_value=-4, max_value=4, max_denominator=3),
+        )
+        gens = data.draw(st.lists(st.tuples(*[coord] * w.dim), min_size=1, max_size=7))
+        A = UpperSet.make(w, rp, gens)
+        ref = ref_canonicalize(w, rp, tuple(gens))
+        assert A.generators == ref
+        assert A.repr is (Repr.DISCRETE if len(ref) == 1 else rp)
+        _assert_reduced(A)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_membership_and_subset_match_reference(self, data):
+        w = data.draw(st.sampled_from(SCAN_WEDGES))
+        A = _scan_set(data, w, data.draw(st.sampled_from(list(Repr))))
+        B = _scan_set(data, w, data.draw(st.sampled_from(list(Repr))))
+        coord = st.fractions(min_value=-5, max_value=5, max_denominator=2)
+        points = list(A.generators) + [vadd(g, h) for g in A.generators[:2] for h in B.generators[:2]]
+        p = data.draw(st.one_of(st.sampled_from(points), st.tuples(*[coord] * w.dim)))
+        for X in (A, B):
+            assert X.member(p) == ref_has(w, X.repr, X.generators, p)
+        for X, Y in ((A, B), (B, A), (A, msum(A, B))):
+            if X.repr is Repr.POLYTOPIC and len(X.nums) > 1 and Y.repr is Repr.DISCRETE and len(Y.nums) > 1:
+                with pytest.raises(UnsupportedOperation):
+                    subset(X, Y)
+            else:
+                assert subset(X, Y) == all(ref_has(w, Y.repr, Y.generators, g) for g in X.generators)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_thresholds_match_reference(self, data):
+        w = data.draw(st.sampled_from(SCAN_WEDGES))
+        x = _scan_set(data, w, data.draw(st.sampled_from(list(Repr))), 3)
+        probe = _scan_set(data, w, data.draw(st.sampled_from(list(Repr))), 3)
+        a = _scan_set(data, w, Repr.DISCRETE, 1)
+        assert _arch_exact_set(x, probe) == ref_arch_exact_set(x, probe)
+        assert _bounded_exact_set(x, a) == ref_bounded_exact_set(x, a)
+        assert _bounded_exact_set(x, probe) == ref_bounded_exact_set(x, probe)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_intersect_over_a_skew_wedge_is_intersection(self, data):
+        # Brute force reads the order row by row on coordinates.
+        A = _scan_set(data, SKEW, Repr.DISCRETE, 3)
+        B = _scan_set(data, SKEW, Repr.DISCRETE, 3)
+        I = intersect(A, B)
+        _assert_reduced(I)
+        grid = list(rational_grid(2, 5, (1, 2)))
+        for p in data.draw(st.lists(st.sampled_from(grid), min_size=10, max_size=30)):
+            assert _ref_member(SKEW, I.generators, p) == (
+                _ref_member(SKEW, A.generators, p) and _ref_member(SKEW, B.generators, p)
+            )
+
+    def test_intersect_needs_a_simplicial_wedge(self):
+        w = Wedge.from_rows([[1, 0], [0, 1], [1, 1]])
+        A = discrete(w, [(0, 1), (1, 0)])
+        with pytest.raises(UnsupportedOperation):
+            intersect(A, A)
+        assert intersect(discrete(SKEW, [(0, 0)]), discrete(SKEW, [(1, -1)])).generators == ((F(2, 5), F(1, 5)),)
+
+    def test_no_values_read_once_sets_are_built(self, monkeypatch):
+        # poly3's wedge and operands: only a point that enters is read.
+        a = polytopic(POLY3_WEDGE, [(-3, F(1, 2), 5), (F(-7, 4), F(-1, 2), 0), (F(-1, 2), 6, F(-1, 2))])
+        b = polytopic(POLY3_WEDGE, [(F(1, 2), -2, F(-3, 2)), (F(-7, 4), F(1, 2), F(-3, 2)), (4, 2, -7)])
+        seen = []
+        values = Wedge.values
+
+        def counting(self, x):
+            seen.append(x)
+            return values(self, x)
+
+        monkeypatch.setattr(Wedge, "values", counting)
+        ab = msum(a, b)
+        assert ab == msum(b, a)
+        assert subset(star_set(2, a), msum(a, a))
+        assert subset(a, convex_hull(a))
+        for rp in Repr:
+            _canonicalize(POLY3_WEDGE, rp, a.nums + b.nums)
+        assert seen == []
+        assert not a.member((-9, -9, -9))
+        assert seen == [(-9, -9, -9)]
+
+    def test_two_row_wedges_spare_the_lp(self, monkeypatch):
+        # Over the skew wedge, hull pruning and membership take the chain.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lp_feasible(*args, **kwargs)
+
+        monkeypatch.setattr(sets_module, "lp_feasible", counting)
+        rng = random.Random(9)
+        grid = list(rational_grid(2, 3, (1, 2)))
+        for _ in range(20):
+            A = polytopic(SKEW, _rand_gens(rng, 2, 6, -4, 4))
+            B = polytopic(SKEW, _rand_gens(rng, 2, 6, -4, 4))
+            for p in rng.sample(grid, 10):
+                A.member(p)
+            subset(A, B)
+            assert subset(star_set(2, A), msum(A, A))
+        assert calls == []
+
+
+class TestDimensionMismatch:
+    """A point of another dimension is refused as it enters, over every
+    wedge and in both representations."""
+
+    @pytest.mark.parametrize("rp", list(Repr))
+    @pytest.mark.parametrize("w", SCAN_WEDGES)
+    def test_member_rejects_other_dimensions(self, w, rp):
+        gens = [tuple((-1) ** (i + j) * (i + j) for j in range(w.dim)) for i in range(3)]
+        A = UpperSet.make(w, rp, gens)
+        for dim in (w.dim - 1, w.dim + 1, w.dim + 2):
+            with pytest.raises(DimensionMismatch):
+                A.member((0,) * dim)
+        with pytest.raises(DimensionMismatch):
+            UpperSet.make(w, rp, [(0,) * (w.dim + 1)])
+
+    def test_fuzzy_value_rejects_other_dimensions(self):
+        f = chi(discrete(Wedge.zero(1), [(0,)]))
+        assert f.value((0,)) == 1
+        with pytest.raises(DimensionMismatch):
+            f.value((0, 0, 0))
+
+
+# --- Exhaustive small scope over the two-row paths ---------------------------
+
+# {-1, 0, 1}^2 holds no three collinear points that the wedge with rows
+# (1, 0), (1, 1) leaves incomparable, so the second coordinate reaches 2:
+# (-1, 2), (0, 0), (1, -2) is such a line, and a hull that kept collinear
+# points would give it two forms.
+SMALL_GRID = [(a, b) for a in (-1, 0, 1) for b in (-2, -1, 0, 1, 2)]
+HALF_GRID = list(rational_grid(2, 4, (2,)))  # -2..2 in steps of 1/2
+SMALL_SCOPE_WEDGES = [W2, SKEW, Wedge.from_rows([[1, 0], [1, 1]])]
+
+
+def _small_scope(w):
+    """Every discrete and polytopic set of at most 3 generators from
+    SMALL_GRID, deduplicated by ==."""
+    out = set()
+    for rp in Repr:
+        for k in (1, 2, 3):
+            for gens in combinations_with_replacement(SMALL_GRID, k):
+                out.add(UpperSet.make(w, rp, gens))
+    return sorted(out, key=lambda A: (A.repr.value, A.den, A.nums))
+
+
+@pytest.mark.parametrize("w", SMALL_SCOPE_WEDGES)
+def test_small_scope_two_row_paths(w):
+    """Antisymmetry on every pair of the scope, so that one denotation has
+    one form, and polytopic membership on a half-step grid against the
+    free-variable LP."""
+    scope = _small_scope(w)
+    for X in scope:
+        for Y in scope:
+            try:
+                both = subset(X, Y) and subset(Y, X)
+            except UnsupportedOperation:
+                continue
+            assert both == (X == Y), (X.generators, Y.generators)
+    for A in scope:
+        if A.repr is Repr.POLYTOPIC:
+            for p in HALF_GRID:
+                assert A.member(p) == _ref_poly_member_lp(w, A.generators, p), (A.generators, p)

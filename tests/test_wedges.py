@@ -6,6 +6,7 @@ Fraction-tuple element cornet they replaced."""
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +22,15 @@ from cornets.core import (
     check_lemma_identities,
     is_archimedean,
 )
-from cornets.geometry import DimensionMismatch, vdot, vneg, vscale, vzero
+from cornets.geometry import DimensionMismatch, reduced, vdot, vneg, vscale, vzero
 from cornets.sets import discrete, msum
+from cornets import wedges as wedges_module
 from cornets.wedges import (
     NotPointedError,
     Point,
     Wedge,
+    _canonical,
+    _line_witness,
     elem_arch_family,
     make_elem_cornet,
     threshold,
@@ -165,6 +169,54 @@ class TestWedgeConstruction:
     def test_rational_string_rows(self):
         w = Wedge.from_rows([["1/2", "0"], ["0", "2"]])
         assert w.contains((F(1), F(0)))
+
+    def test_not_pointed_message_names_the_line(self):
+        # The inverse LPs find that a line exists; the message names the
+        # kernel vector that _line_witness gives.
+        for rows in ([[1, 0]], [[1, 1, 0], [0, 1, 1]], [[1, -1], [-1, 1]]):
+            with pytest.raises(NotPointedError) as err:
+                Wedge.from_rows(rows)
+            w_rows = _canonical([tuple(F(c) for c in r) for r in rows])
+            assert str(err.value) == f"cone contains the line through {_line_witness(w_rows, len(rows[0]))}"
+
+    def test_orthant_builds_without_an_lp(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(wedges_module, "lp_feasible", lambda *args: calls.append(args))
+        assert Wedge.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 3]]).is_orthant
+        assert calls == []
+
+
+# Wedges with a left inverse to check: square, with redundant rows, and the
+# zero wedge, whose values repeat each coordinate negated.
+INVERSE_WEDGES = THRESHOLD_WEDGES + [
+    Wedge.from_rows([[2, 1], [-1, 2]]),
+    Wedge.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 1]]),
+    Wedge.from_rows([[1, 0], [0, 1], [1, 1]]),
+    Wedge.zero(1),
+    Wedge.zero(3),
+]
+
+
+class TestLeftInverse:
+    @pytest.mark.parametrize("w", INVERSE_WEDGES)
+    def test_inverse_times_rows_is_identity(self, w):
+        units = tuple(sorted(tuple(int(i == j) for j in range(w.dim)) for i in range(w.dim)))
+        assert w.coords(1, tuple(sorted(w.values(e) for e in units))) == (1, units)
+        if w._inverse is not None:
+            den, inverse = w._inverse
+            identity = tuple(tuple(den * int(i == j) for j in range(w.dim)) for i in range(w.dim))
+            assert tuple(tuple(vdot(r, col) for col in zip(*w.rows)) for r in inverse) == identity
+
+    @given(st.data())
+    def test_coords_map_values_back(self, data):
+        w = data.draw(st.sampled_from(INVERSE_WEDGES))
+        points = data.draw(st.lists(st.tuples(*[st.integers(-9, 9)] * w.dim), min_size=1, max_size=4))
+        den = data.draw(st.integers(1, 12))
+        # Sets hand their values over reduced and in order.
+        vden, values = reduced(den, tuple(sorted({w.values(p) for p in points})))
+        cden, coords = w.coords(vden, values)
+        assert [tuple(F(c, cden) for c in p) for p in coords] == sorted({tuple(F(c, den) for c in p) for p in points})
+        assert gcd(cden, *(c for p in coords for c in p)) == 1
 
 
 class TestWedgeOrder:
