@@ -72,16 +72,21 @@ N_MAX_LIMIT = 12
 # searches are measured past it.
 HORIZON_LIMIT = 200
 # Building a wedge finds the left inverse of its rows with dim LPs, which also
-# check pointedness, before any case runs (orthant and zero need none): a custom
-# wedge (unit rows and the all-ones row) takes 0.04 s at dim 16, 0.61 s at 32
-# and 2.0 s at 48 (2-vCPU Xeon).  So dim is at most 32.
-# `laws` costs linearly in its cases: a setQ file over that dim-32 wedge takes
-# 0.8 s at --cases 1 and 6.8 s at 200, the default and the bound.
+# check pointedness, before any case runs; rows that hold every unit row need
+# none (the orthant, the zero wedge, the unit rows with the all-ones row).  A
+# custom wedge without e_1 (rows e_1 + e_2, e_2, ..., e_d and all-ones) takes
+# 0.03 s at dim 16, 0.38 s at 32 and 2.0 s at 48 (2-vCPU Xeon).  So dim is at
+# most 32.  `laws` costs linearly in its cases: a discrete setQ file over that
+# dim-32 wedge takes 0.5 s at --cases 1 and 5.6 s at 200, the default and the
+# bound.
 _LIMITS = {"n_max": N_MAX_LIMIT, "horizon": HORIZON_LIMIT, "dim": 32, "cases": 200}
-# The hunt's scan is cubic in the universe: on a 2-vCPU Xeon, z1 over 0..6
-# (127 sets) takes 0.9 s, and each further integer multiplies that by about
-# 6 (0..7 takes 5.3 s); z1-intervals over 0..14 (120 sets) takes 1.6 s.  So
-# a larger universe is refused before it is built.
+# The hunt's scan is cubic in the universe, but a pair (x, y) whose least
+# and greatest members already rule out x + z within y + z costs no sum: on a
+# 2-vCPU Xeon the unablated scans of z1 over 0..6 (127 sets) and 0..7 (255)
+# take 0.010 and 0.014 s, and z1-intervals over 0..14 (120 sets) 0.023 s
+# (0.79, 4.1 and 1.5 s without that refutation).  The limit stays until the
+# hunt has a work budget that bounds any universe.  So a larger universe is
+# refused before it is built.
 HUNT_SETS_LIMIT = 127
 # Reports print every rational in full, and Python refuses to print an int of
 # more than 4,300 digits, a length that sums over a few denominators reach

@@ -101,7 +101,9 @@ class CornetInstance:
     draws elements >= 0), ``closure``, ``serialize`` and the exact deciders
     are required, since every model supplies them; an exact decider returns
     (holds, threshold n0), or None to leave "for all large n" to the horizon
-    search.  ``hull`` exists only for sets, so it alone may be None.
+    search.  ``hull`` exists only for sets, so it may be None; so may
+    ``separates``, a cancellation-free refutation for :func:`ablation_hunt`:
+    it may return True for (x, y) only when x + z <= y + z fails for every z.
     """
 
     name: str
@@ -116,6 +118,7 @@ class CornetInstance:
     arch_exact: Callable[[Any, Any], Optional[tuple[bool, Optional[int]]]]
     bounded_exact: Callable[[Any, Any], Optional[tuple[bool, Optional[int]]]]
     hull: Optional[Callable[[Any], Any]] = None
+    separates: Optional[Callable[[Any, Any], bool]] = None
 
 
 def dot_mul(inst: CornetInstance, n: int, x):
@@ -565,12 +568,20 @@ def ablation_hunt(
     some m in 2..4 (finite integer universes use order-convexity instead,
     where the default admits only singletons).  Returns (x, y, z) or None.
 
-    The admitted y are filtered once, before the scan.  Each sum
-    ``elements[i] + elements[k]`` is computed on first use and numbered by
-    value (``==`` is equality of denotations, so equal sums share a number),
-    and each order test between two sums is kept by its pair of numbers.  So
-    the O(U^3) scan makes at most U^2 additions and one order test per
-    distinct pair of sums; nothing is kept across calls.
+    The admitted y are filtered once, before the universe is sorted, and a
+    universe that admits none is exhausted unsorted.  A pair (x, y) that
+    ``inst.separates`` refutes is skipped before the z loop: by its contract
+    no z gives x + z <= y + z, so the first hit, and the result, are those of
+    the full scan.  (Sets refute by the least value in each row, which is
+    additive and reverses inclusion, so it cancels where the order may not.)
+    The one difference: a skipped pair whose order test would raise
+    :class:`UnsupportedOperation`, a polytopic sum within a discrete sum of
+    several generators, no longer raises; the CLI's discrete universes have
+    none.  Each sum ``elements[i] + elements[k]`` is computed on first use
+    and numbered by value (``==`` is equality of denotations, so equal sums
+    share a number), and each order test between two sums is kept by its
+    pair of numbers.  So the O(U^3) scan makes at most U^2 additions and one
+    order test per distinct pair of sums; nothing is kept across calls.
     """
     if convexity_test is None:
         convexity_test = lambda e: any(is_n_convex(inst, e, n) for n in range(2, 5))
@@ -586,8 +597,14 @@ def ablation_hunt(
     }.get(ablate)
     if admits is None:
         raise ValueError(f"unknown ablation {ablate!r}")
-    elements = sorted(universe, key=lambda e: str(inst.serialize(e)))
-    admitted = [(j, y) for j, y in enumerate(elements) if admits(y)]
+    elements = list(universe)
+    flags = list(map(admits, elements))
+    if not any(flags):
+        return None
+    ranked = sorted(zip(elements, flags), key=lambda p: str(inst.serialize(p[0])))
+    elements = [e for e, _ in ranked]
+    admitted = [(j, y) for j, (y, ok) in enumerate(ranked) if ok]
+    separates = inst.separates or (lambda x, y: False)
     sums: list = []  # number -> sum
     number: dict[Any, int] = {}  # sum -> number
 
@@ -605,7 +622,7 @@ def ablation_hunt(
 
     for i, x in enumerate(elements):
         for j, y in admitted:
-            if inst.leq(x, y):
+            if separates(x, y) or inst.leq(x, y):
                 continue
             for k in range(len(elements)):
                 if leq(plus(i, k), plus(j, k)):

@@ -79,6 +79,15 @@ class UpperSet:
         den, nums = self.wedge.coords(self.den, self.nums)
         return tuple(tuple(Fraction(c, den) for c in g) for g in nums)
 
+    @functools.cached_property
+    def low(self) -> tuple[int, ...]:
+        """The least stored value in each row m, over ``den``: the least m . p
+        over the whole set (W and hulls add no lower value), so no stored
+        form changes it.  It is additive under ``msum`` (a promoted hull
+        keeps the sum's minima) and n-homogeneous under ``star_set``, and
+        inclusion A in B implies low(A) >= low(B) row by row."""
+        return tuple(map(min, zip(*self.nums)))
+
     def member(self, p: Vec) -> bool:
         """p in the set, asked of the numerators of p's values put over one
         denominator with the generators."""
@@ -267,6 +276,14 @@ def subset(A: UpperSet, B: UpperSet) -> bool:
     return all(_has(B.wedge, B.repr, bn, g) for g in an)
 
 
+def _separates(A: UpperSet, B: UpperSet) -> bool:
+    """Some row's least value on A is below B's, so no z gives A + z within
+    B + z: ``low`` is additive and reverses inclusion, and cancels in Q.
+    Rådström's embedding by support functions (Proc. AMS 3, 1952), read
+    row by row on the stored values, compared by int cross-multiplication."""
+    return not all(a * B.den >= b * A.den for a, b in zip(A.low, B.low))
+
+
 def intersect(A: UpperSet, B: UpperSet) -> UpperSet:
     """Finite intersections of DISCRETE sets via staircase joins of values.
     Over a simplicial wedge (as many rows as the dimension) M is onto, so
@@ -411,6 +428,7 @@ def make_set_cornet(w: Wedge, rp: Repr = Repr.DISCRETE, integer: bool = False) -
         serialize=serialize_set,
         arch_exact=_arch_exact_set,
         bounded_exact=_bounded_exact_set,
+        separates=_separates,
     )
 
 

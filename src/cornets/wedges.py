@@ -75,6 +75,16 @@ def _left_inverse(rows: Sequence[Vec], dim: int) -> Optional[tuple[int, Rows]]:
     return None if None in inverse else over_lcm(inverse)
 
 
+def _selection_inverse(rows: Sequence[Vec], dim: int) -> Optional[tuple[int, Rows]]:
+    """L with L . M = I that picks the unit rows out of M, when every one of
+    them is a row; no LP runs.  None when some unit row is missing."""
+    where = {r: k for k, r in enumerate(rows)}
+    picks = [where.get(e) for e in _unit_rows(dim)]
+    if None in picks:
+        return None
+    return 1, tuple(tuple(int(k == p) for k in range(len(rows))) for p in picks)
+
+
 def _line_witness(rows: Sequence[Vec], dim: int) -> Optional[Vec]:
     """A nonzero x with m . x == 0 for every row, or None when the cone is
     pointed.
@@ -116,10 +126,11 @@ class Wedge:
                 raise DimensionMismatch(f"row of dim {len(m)} in cone of dim {self.dim}")
         object.__setattr__(self, "rows", _canonical(self.rows))
         # Rows that begin with the unit rows, as the orthant's and the zero
-        # wedge's do, are pointed and need no inverse: no LP runs.
+        # wedge's do, are pointed and need no inverse; rows that hold them
+        # elsewhere have one that selects them.  Neither runs an LP.
         inverse = None
         if self.rows[: self.dim] != _unit_rows(self.dim):
-            inverse = _left_inverse(self.rows, self.dim)
+            inverse = _selection_inverse(self.rows, self.dim) or _left_inverse(self.rows, self.dim)
             if inverse is None:
                 # The LPs only tell that a line exists; name one.
                 raise NotPointedError(f"cone contains the line through {_line_witness(self.rows, self.dim)}")

@@ -5,6 +5,7 @@ universes (small cases; the acceptance module runs the full volumes)."""
 import dataclasses
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,8 @@ from cornets.core import (
 from cornets.fuzzy import fuzzy_arch_family, make_fuzzy_cornet
 from cornets.sets import (
     Repr,
+    UpperSet,
+    convex_hull,
     discrete,
     polytopic,
     enumerate_z_subsets,
@@ -388,6 +391,16 @@ def _ref_hunt(inst, universe, ablate="none", m_cap=4, convexity_test=None):
     return None
 
 
+# Sets of at most 2 generators from {-1, 0, 1} x {-2, ..., 2} over the
+# orthant of Q^2, in each representation (45 each).
+_GRID = [(a, b) for a in (-1, 0, 1) for b in (-2, -1, 0, 1, 2)]
+ORTHANT_SETS = {
+    rp: sorted({UpperSet.make(Wedge.orthant(2), rp, g) for k in (1, 2) for g in combinations(_GRID, k)},
+               key=lambda A: A.nums)
+    for rp in Repr
+}
+
+
 class TestAblationHunt:
     INST = make_set_cornet(Wedge.zero(1), Repr.DISCRETE, integer=True)
 
@@ -438,8 +451,15 @@ class TestAblationHunt:
 
         counted = dataclasses.replace(self.INST, add=add)
         universe = enumerate_z_subsets(4)
-        assert ablation_hunt(counted, universe, "none", convexity_test=order_convex_z) is None
+        # Without the refutation the memo alone bounds the sums.
+        unpruned = dataclasses.replace(counted, separates=None)
+        assert ablation_hunt(unpruned, universe, "none", convexity_test=order_convex_z) is None
         assert len(calls) <= len(universe) ** 2 == 961
+        # With it every pair that fails x <= y is refuted before any sum: x
+        # reaches below y's least member or above its greatest.
+        calls.clear()
+        assert ablation_hunt(counted, universe, "none", convexity_test=order_convex_z) is None
+        assert calls == []
 
     def test_each_order_question_is_asked_once(self):
         calls = {"add": 0, "leq": 0}
@@ -455,10 +475,35 @@ class TestAblationHunt:
         counted = dataclasses.replace(self.INST, add=add, leq=leq)
         universe = interval_z_subsets(6)
         assert ablation_hunt(counted, universe, "none", convexity_test=order_convex_z) is None
-        # 784 pretests x <= y over 28 x 28 pairs, then one test per distinct
-        # pair of sums, of which there are 4,207.
-        assert calls["leq"] <= 784 + 4207
-        assert calls["add"] <= len(universe) ** 2 == 784
+        # Of the 28 x 28 pairs, the 574 where x is not within y are refuted
+        # by their least and greatest members; the pretest x <= y holds on
+        # the other 210, so no sum is made and no sums are compared.
+        assert calls == {"add": 0, "leq": 210}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["discrete", "polytopic", "mixed"]),
+        st.sampled_from(["none", "convexity", "closedness"]),
+        st.data(),
+    )
+    def test_refutation_keeps_the_orthant_scan(self, kind, ablate, data):
+        """The scan with and without ``separates`` over the orthant of Q^2.
+        The hull closure makes closedness admit the discrete sets of several
+        generators.  A mixed universe has polytopic sums within discrete
+        ones, which the full scan may be unable to order."""
+        full = ORTHANT_SETS[Repr.DISCRETE] + ORTHANT_SETS[Repr.POLYTOPIC]
+        if kind != "mixed":
+            full = ORTHANT_SETS[Repr(kind)]
+        universe = data.draw(st.lists(st.sampled_from(full), min_size=1, max_size=30, unique=True))
+        inst = dataclasses.replace(make_set_cornet(Wedge.orthant(2), integer=True), closure=convex_hull)
+        try:
+            ref = ablation_hunt(dataclasses.replace(inst, separates=None), universe, ablate)
+        except UnsupportedOperation:
+            assert kind == "mixed"
+            return
+        got = ablation_hunt(inst, universe, ablate)
+        ser = lambda t: None if t is None else [inst.serialize(e) for e in t]
+        assert ser(got) == ser(ref)
 
     def test_convexity_ablation_finds_triple(self):
         universe = enumerate_z_subsets(3)

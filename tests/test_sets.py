@@ -7,6 +7,7 @@ import time
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from cornets.sets import (
     _canonicalize,
     _has,
     _poly_member_lp,
+    _separates,
     convex_hull,
     discrete,
     enumerate_z_subsets,
@@ -1197,6 +1199,53 @@ class TestValueCoordinates:
             subset(A, B)
             assert subset(star_set(2, A), msum(A, A))
         assert calls == []
+
+
+def _low(A):
+    return tuple(F(v, A.den) for v in A.low)
+
+
+class TestLowValues:
+    """``low``, the least value of each row over a set, is the cancellative
+    invariant behind ``_separates``: additive, n-homogeneous and reversed by
+    inclusion, for every form a set is stored in, promoted mixed sums too."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_low_is_additive_and_reverses_inclusion(self, data):
+        w = data.draw(st.sampled_from(SCAN_WEDGES))
+        A, B, Z = (_scan_set(data, w, data.draw(st.sampled_from(list(Repr))), 3) for _ in range(3))
+        for X in (A, B):
+            # The least row value over the generators' coordinates.
+            assert _low(X) == tuple(min(vdot(m, g) for g in X.generators) for m in w.rows)
+        assert _low(msum(A, B)) == tuple(map(add, _low(A), _low(B)))
+        n = data.draw(st.integers(1, 5))
+        assert _low(star_set(n, A)) == tuple(n * v for v in _low(A))
+        try:
+            if subset(A, B):
+                assert not _separates(A, B)
+            if _separates(A, B):
+                assert not subset(msum(A, Z), msum(B, Z))
+        except UnsupportedOperation:
+            pass
+
+    @pytest.mark.parametrize("w", SCAN_WEDGES)
+    def test_separates_refutes_every_z(self, w):
+        # Every pair and z of one- and two-generator sets on a small grid.
+        rng = random.Random(28)
+        scope = [UpperSet.make(w, rp, _rand_gens(rng, w.dim, rng.randint(1, 2), -2, 2)) for rp in Repr for _ in range(8)]
+        refuted = 0
+        for x in scope:
+            for y in scope:
+                if not _separates(x, y):
+                    continue
+                refuted += 1
+                for z in scope:
+                    try:
+                        assert not subset(msum(x, z), msum(y, z))
+                    except UnsupportedOperation:
+                        pass
+        assert refuted > 0
 
 
 class TestDimensionMismatch:

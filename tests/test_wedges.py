@@ -5,6 +5,7 @@ interior-only deciders it replaced, and the integer points against the
 Fraction-tuple element cornet they replaced."""
 
 import random
+import copy
 from fractions import Fraction as F
 from math import gcd
 
@@ -30,7 +31,9 @@ from cornets.wedges import (
     Point,
     Wedge,
     _canonical,
+    _left_inverse,
     _line_witness,
+    _selection_inverse,
     elem_arch_family,
     make_elem_cornet,
     threshold,
@@ -217,6 +220,39 @@ class TestLeftInverse:
         cden, coords = w.coords(vden, values)
         assert [tuple(F(c, cden) for c in p) for p in coords] == sorted({tuple(F(c, den) for c in p) for p in points})
         assert gcd(cden, *(c for p in coords for c in p)) == 1
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_selection_matches_lp_inverse(self, data):
+        # Every unit row among others: the selection is a left inverse, and
+        # coords through it give the bytes that the LP's inverse gives.
+        dim = data.draw(st.integers(1, 4))
+        extra = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=1, max_size=3))
+        units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        w = Wedge(dim, tuple(data.draw(st.permutations(units + extra))))
+        selection = _selection_inverse(w.rows, dim)
+        lp = _left_inverse(w.rows, dim)
+        identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+        for den, inverse in (selection, lp):
+            assert tuple(tuple(F(vdot(r, col), den) for col in zip(*w.rows)) for r in inverse) == identity
+        assert w._inverse == (None if w.rows[:dim] == tuple(units) else selection)
+        by_lp = copy.copy(w)
+        object.__setattr__(by_lp, "_inverse", lp)
+        points = data.draw(st.lists(st.tuples(*[st.integers(-9, 9)] * dim), min_size=1, max_size=4))
+        vden, values = reduced(data.draw(st.integers(1, 12)), tuple(sorted({w.values(p) for p in points})))
+        assert w.coords(vden, values) == by_lp.coords(vden, values)
+
+    def test_unit_rows_elsewhere_build_without_an_lp(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(wedges_module, "lp_feasible", lambda *args: calls.append(args))
+        dim = 32
+        rows = [[int(i == j) for j in range(dim)] for i in range(dim)] + [[1] * dim]
+        w = Wedge.from_rows(rows)
+        assert w.rows[0] == (1,) * dim and w._inverse is not None
+        assert calls == []
+        assert w.coords(1, (w.values(tuple(range(dim))),)) == (1, (tuple(range(dim)),))
+        assert _selection_inverse(((1, 1), (0, 1)), 2) is None
 
 
 class TestWedgeOrder:
