@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import add, le
+from operator import add, ge, le
 from typing import Iterable, Optional, Sequence
 
 from .core import ArchFamily, CornetInstance, UnsupportedOperation
@@ -273,6 +273,10 @@ def subset(A: UpperSet, B: UpperSet) -> bool:
     if A.repr is Repr.POLYTOPIC and not _convex(B):
         raise UnsupportedOperation("polytopic within discrete is undecided here")
     _, an, bn = _common(A, B)
+    if B.repr is Repr.DISCRETE and B.wedge.is_zero:
+        # Over the zero wedge each generator of A must be one of B's: one
+        # containment pass over B's stored values, not a _has call apiece.
+        return all(map(bn.__contains__, an))
     return all(_has(B.wedge, B.repr, bn, g) for g in an)
 
 
@@ -280,7 +284,10 @@ def _separates(A: UpperSet, B: UpperSet) -> bool:
     """Some row's least value on A is below B's, so no z gives A + z within
     B + z: ``low`` is additive and reverses inclusion, and cancels in Q.
     Rådström's embedding by support functions (Proc. AMS 3, 1952), read
-    row by row on the stored values, compared by int cross-multiplication."""
+    row by row on the stored values: directly over one denominator, as in
+    the CLI's universes, else by int cross-multiplication."""
+    if A.den == B.den:
+        return not all(map(ge, A.low, B.low))
     return not all(a * B.den >= b * A.den for a, b in zip(A.low, B.low))
 
 
@@ -396,10 +403,11 @@ def serialize_set(A: UpperSet) -> dict:
     """JSON form of a set: its representation and generators as rational
     strings, in point order."""
     den, nums = A.wedge.coords(A.den, A.nums)
-    return {
-        "repr": A.repr.value,
-        "generators": [[str(c) if den == 1 else str(Fraction(c, den)) for c in g] for g in nums],
-    }
+    if den == 1:
+        generators = [[str(c) for c in g] for g in nums]
+    else:
+        generators = [[str(Fraction(c, den)) for c in g] for g in nums]
+    return {"repr": A.repr.value, "generators": generators}
 
 
 def make_set_cornet(w: Wedge, rp: Repr = Repr.DISCRETE, integer: bool = False) -> CornetInstance:
@@ -434,13 +442,23 @@ def make_set_cornet(w: Wedge, rp: Repr = Repr.DISCRETE, integer: bool = False) -
 
 def enumerate_z_subsets(bound: int, lo: int = 0) -> list[UpperSet]:
     """All nonempty subsets of {lo..bound} as upper sets over (Z, W={0});
-    the finite universe used by the counterexample hunt."""
+    the finite universe used by the counterexample hunt, in mask order.
+
+    Each set is built already canonical, without ``_build``: over the zero
+    wedge no generator dominates another, the values (v, -v) taken by
+    increasing v are in sorted order, a denominator of 1 is reduced, and a
+    set of one generator is DISCRETE in any case.  The generators of a mask
+    are its lowest bit's value followed by those of the mask without that
+    bit, so each set costs one concatenation."""
     w = Wedge.zero(1)
     vals = [w.values((v,)) for v in range(lo, bound + 1)]
+    prefix: list[Rows] = [()]
     out = []
     for mask in range(1, 1 << len(vals)):
-        gens = [v for i, v in enumerate(vals) if mask & (1 << i)]
-        out.append(_build(w, Repr.DISCRETE, 1, gens))
+        bit = mask & -mask
+        gens = (vals[bit.bit_length() - 1],) + prefix[mask ^ bit]
+        prefix.append(gens)
+        out.append(UpperSet(w, Repr.DISCRETE, 1, gens))
     return out
 
 
@@ -450,15 +468,24 @@ def order_convex_z(A: UpperSet) -> bool:
     Over (Z, W={0}) the averaged-generator notion of convexity admits only
     singletons, so the counterexample hunt uses this lattice analogue when
     deciding which sets count as convex.
+
+    The first value over the zero wedge of Q is the point itself, and the
+    values are stored sorted and distinct.  Over den 1 the set has no gap
+    iff its span is one less than its size.  Over a larger den that count is
+    not enough: {0, 1/2, 2} (nums 0, 1, 4 over 2) spans (3 - 1) . 2 but has
+    a gap, so each step is checked.
     """
-    # The first value over the zero wedge of Q is the point itself.
-    vals = sorted(g[0] for g in A.nums)
-    return all(b - a == A.den for a, b in zip(vals, vals[1:]))
+    nums = A.nums
+    if A.den == 1:
+        return nums[-1][0] - nums[0][0] == len(nums) - 1
+    return all(b[0] - a[0] == A.den for a, b in zip(nums, nums[1:]))
 
 
 def interval_z_subsets(bound: int, lo: int = 0) -> list[UpperSet]:
-    """The interval sets {a..b} within {lo..bound}: the convex subuniverse."""
+    """The interval sets {a..b} within {lo..bound}: the convex subuniverse.
+    Each is a slice of the sorted values over den 1, so it is built already
+    canonical, as in ``enumerate_z_subsets``."""
     w = Wedge.zero(1)
-    vals = [w.values((v,)) for v in range(lo, bound + 1)]
+    vals = tuple(w.values((v,)) for v in range(lo, bound + 1))
     spans = [(a, b) for a in range(len(vals)) for b in range(a, len(vals))]
-    return [_build(w, Repr.DISCRETE, 1, vals[a : b + 1]) for a, b in spans]
+    return [UpperSet(w, Repr.DISCRETE, 1, vals[a : b + 1]) for a, b in spans]

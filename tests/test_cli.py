@@ -495,6 +495,27 @@ class TestExitCodes:
         assert capsys.readouterr().err == "input error: --range: empty range '-2..-5'\n"
 
     @pytest.mark.parametrize(
+        "lo, hi, x, y",
+        [
+            (-3, 3, [-1, 0, 1, 2, 3], [-1, 0, 1, 3]),
+            (0, 6, [0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 6]),
+        ],
+    )
+    def test_hunt_pins_the_scan_order(self, capsys, lo, hi, x, y):
+        # The scan visits the universe sorted by the text of each set's JSON
+        # form, so "-1" comes before "-2"; the first triple found, and so the
+        # output, depends on that order and not only on the sets.
+        argv = ["hunt", "--universe", "z1", f"--range={lo}..{hi}", "--ablate", "convexity", "--format", "json"]
+        assert main(argv) == EXIT_VIOLATION
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "counterexample"
+
+        def as_set(values):
+            return {"repr": "discrete", "generators": [[str(v)] for v in values]}
+
+        assert report["found"] == {"x": as_set(x), "y": as_set(y), "z": as_set(x)}
+
+    @pytest.mark.parametrize(
         "universe, largest",
         [("z1", 6), ("z1-intervals", 14)],
     )

@@ -1201,6 +1201,92 @@ class TestValueCoordinates:
         assert calls == []
 
 
+class TestHuntFastPaths:
+    """The paths a hunt request takes on the CLI's universes, each against
+    the general path it stands in for: universes built without ``_build``,
+    order-convexity read off the span over den 1, separation compared on one
+    denominator and zero-wedge inclusion by one containment pass."""
+
+    @pytest.mark.parametrize("lo", [-7, -3, 0, 5])
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_universes_equal_build(self, width, lo):
+        hi = lo + width - 1
+        vals = [WZ.values((v,)) for v in range(lo, hi + 1)]
+        subsets = [[v for i, v in enumerate(vals) if mask >> i & 1] for mask in range(1, 1 << width)]
+        intervals = [vals[a : b + 1] for a in range(width) for b in range(a, width)]
+        for direct, gens in (
+            (enumerate_z_subsets(hi, lo=lo), subsets),
+            (interval_z_subsets(hi, lo=lo), intervals),
+        ):
+            assert len(direct) == len(gens)
+            for A, g in zip(direct, gens):
+                B = sets_module._build(WZ, Repr.DISCRETE, 1, g)
+                assert A == B and hash(A) == hash(B) and repr(A) == repr(B)
+                assert (A.nums, A.den, A.repr) == (B.nums, B.den, B.repr)
+                assert type(A.nums) is tuple and all(type(v) is tuple for v in A.nums)
+
+    @staticmethod
+    def _gap_free(A):
+        values = sorted(F(g[0], A.den) for g in A.nums)
+        return all(b - a == 1 for a, b in zip(values, values[1:]))
+
+    def test_order_convexity_matches_gap_definition(self):
+        for A in enumerate_z_subsets(3, lo=-3):
+            assert order_convex_z(A) == self._gap_free(A)
+        # Over den 2 a span of (n - 1) . den does not rule out a gap.
+        halves = [(F(k, 2),) for k in range(-2, 6)]
+        sets = [discrete(WZ, [(0,), (F(1, 2),), (2,)])]
+        sets += [discrete(WZ, [h for i, h in enumerate(halves) if m >> i & 1]) for m in range(1, 1 << len(halves))]
+        assert sets[0].den == 2 and not order_convex_z(sets[0])
+        assert any(A.den == 2 for A in sets)
+        for A in sets:
+            assert order_convex_z(A) == self._gap_free(A)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_separates_matches_cross_multiplication(self, data):
+        w = data.draw(st.sampled_from(SCAN_WEDGES))
+        A, B = (_scan_set(data, w, data.draw(st.sampled_from(list(Repr))), 3) for _ in range(2))
+        if data.draw(st.booleans()):
+            # Both over den 1, as in the CLI's universes; else the dens may differ.
+            A, B = star_set(A.den, A), star_set(B.den, B)
+        expected = any(F(a, A.den) < F(b, B.den) for a, b in zip(A.low, B.low))
+        assert _separates(A, B) == expected
+        assert _separates(A, B) == (not all(a * B.den >= b * A.den for a, b in zip(A.low, B.low)))
+
+    def test_separates_on_one_denominator(self):
+        universe = enumerate_z_subsets(2, lo=-1)
+        for A in universe:
+            for B in universe:
+                lows = zip(A.low, B.low)
+                assert _separates(A, B) == any(a < b for a, b in lows)
+
+    def test_zero_wedge_subset_matches_has(self):
+        universe = enumerate_z_subsets(2, lo=-2)
+        universe += [discrete(WZ, [(F(1, 2),), (1,)]), discrete(WZ, [(F(-3, 2),)])]
+        for A in universe:
+            for B in universe:
+                _, an, bn = sets_module._common(A, B)
+                assert subset(A, B) == all(_has(WZ, Repr.DISCRETE, bn, g) for g in an)
+                assert subset(A, B) == (set(A.generators) <= set(B.generators))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_zero_wedge_subset_matches_has_in_higher_dims(self, data):
+        w = data.draw(st.sampled_from([Wedge.zero(2), Wedge.zero(3)]))
+        A = _scan_set(data, w, data.draw(st.sampled_from(list(Repr))), 3)
+        B = _scan_set(data, w, Repr.DISCRETE, 3)
+        if data.draw(st.booleans()):
+            B = msum(B, discrete(w, A.generators[:1]))
+        try:
+            answer = subset(A, B)
+        except UnsupportedOperation:
+            assert A.repr is Repr.POLYTOPIC and len(B.nums) > 1
+            return
+        _, an, bn = sets_module._common(A, B)
+        assert answer == all(_has(w, Repr.DISCRETE, bn, g) for g in an)
+
+
 def _low(A):
     return tuple(F(v, A.den) for v in A.low)
 
